@@ -4,7 +4,6 @@ from .algebra import (
     CycloProduct,
     Poly2,
     RatFuncS,
-    cyclo_multiplicity,
     eval_at_one_with_cancellation,
 )
 from .diagram import (
@@ -16,8 +15,6 @@ from .diagram import (
     cone_vector,
     edge_determinant,
     ensure_cached,
-    linking,
-    linking_from_edge,
     multiplicities,
     splice_data,
     valency,

@@ -132,20 +132,6 @@ class Poly2:
     def mul_monomial(self, c, el, et):
         return Poly2({(a + el, b + et): cc * c for (a, b), cc in self.terms.items()})
 
-    def subs_t_power(self, n):
-        """Substitute T = L^(-n); the result is a Laurent polynomial in L."""
-        out = {}
-        for (a, b), c in self.terms.items():
-            k = (a - n * b, 0)
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            else:
-                del out[k]
-        p = Poly2()
-        p.terms = out
-        return p
-
     def is_univariate_l(self):
         return all(b == 0 for (_, b) in self.terms)
 
@@ -551,8 +537,3 @@ class CycloProduct:
 
     def __repr__(self):
         return f"CycloProduct({self.exps})"
-
-
-def cyclo_multiplicity(product, q):
-    """Order of vanishing of the product at the root of unity exp(2*pi*i*q)."""
-    return product.multiplicity(q)

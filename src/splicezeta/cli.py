@@ -180,7 +180,7 @@ def cmd_verify_splice(args, out):
 
 
 def cmd_monodromy(args, out):
-    d = load_diagram(args.input)
+    d = realizable_refine(load_diagram(args.input))
     z = monodromy_zeta(d)
     d0 = delta0(d)
     d1 = delta1(d)
@@ -225,19 +225,25 @@ def cmd_allowed(args, out):
 
 
 def cmd_mc_check(args, out):
-    d = load_diagram(args.input)
+    loaded = load_diagram(args.input)
+    d = realizable_refine(loaded)
     if args.twisted_orders == "auto":
         orders = auto_twisted_orders(d, bound=args.max_order)
     elif args.twisted_orders:
         try:
-            orders = sorted({int(tok) for tok in args.twisted_orders.split(",")})
-        except ValueError:
-            raise InputError("--twisted-orders wants a comma list or 'auto'") from None
+            orders = sorted({positive_int(tok)
+                             for tok in args.twisted_orders.split(",")})
+        except (ValueError, argparse.ArgumentTypeError):
+            raise InputError("--twisted-orders wants a comma list of positive "
+                             "integers or 'auto'") from None
     else:
         orders = []
     rep = mc_report(d, orders)
+    # refining a decorated arrowhead at a node adds a leg to its star, so
+    # the verdict is read on the diagram as given
+    allowed = is_allowed(loaded).allowed
     if args.machine:
-        out.write(f"allowed={'yes' if rep.allowed.allowed else 'no'}\n")
+        out.write(f"allowed={'yes' if allowed else 'no'}\n")
         for z in rep.zetas:
             out.write(f"zeta kind={z.kind} value={z.zeta.render(compact=True)}\n")
             for p in z.poles:
@@ -245,7 +251,7 @@ def cmd_mc_check(args, out):
                           f"mult={p.multiplicity} class={_frac(p.eigenvalue_class)} "
                           f"eigenvalue={'yes' if p.induces_eigenvalue else 'no'}\n")
     else:
-        out.write(f"allowed form: {'yes' if rep.allowed.allowed else 'no'}\n")
+        out.write(f"allowed form: {'yes' if allowed else 'no'}\n")
         for z in rep.zetas:
             out.write(f"{z.kind}: {z.zeta}\n")
             if not z.poles:
@@ -278,6 +284,13 @@ def cmd_gen(args, out):
     return 0
 
 
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="splicezeta",
@@ -303,7 +316,7 @@ def build_parser():
     p = add("zeta", cmd_zeta, help="motivic / topological / twisted zeta")
     p.add_argument("input")
     p.add_argument("--kind", choices=("motivic", "top", "twisted"), default="top")
-    p.add_argument("--order", type=int, default=None,
+    p.add_argument("--order", type=positive_int, default=None,
                    help="divisibility order for the twisted zeta")
     p = add("splice", cmd_splice, help="splice along an edge")
     p.add_argument("input")

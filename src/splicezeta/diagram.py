@@ -158,6 +158,12 @@ class SpliceData:
     def as_tuple(self):
         return (self.M, self.M_prime, self.i, self.i_prime)
 
+    @staticmethod
+    def across(weights, u, v):
+        """From side weights (see side_weights) of edge u-v; v is on the right."""
+        (m_r, i_r), (m_l, i_l) = weights[(u, v)], weights[(v, u)]
+        return SpliceData(M=m_r, M_prime=m_l, i=i_r, i_prime=i_l)
+
 
 # ---------------------------------------------------------------------------
 # Validation.
@@ -239,10 +245,8 @@ def check_valid(d):
 
 
 # ---------------------------------------------------------------------------
-# Valencies and linking numbers.
+# Valencies and side weights.
 # ---------------------------------------------------------------------------
-
-VALENCY_KINDS = ("plain", "with_f_arrows", "full")
 
 
 def valency(d, v, kind="plain"):
@@ -255,63 +259,6 @@ def valency(d, v, kind="plain"):
     if kind == "full":
         return base + len(d.arrows_at(v))
     raise ValueError(f"unknown valency kind {kind!r}")
-
-
-def _path_nodes(d, src, dst):
-    """Node sequence of the tree path from src to dst."""
-    parent = {src: None}
-    stack = [src]
-    while stack:
-        v = stack.pop()
-        if v == dst:
-            break
-        for e in d.node_edges(v):
-            w = e.other(v)
-            if w not in parent:
-                parent[w] = v
-                stack.append(w)
-    if dst not in parent:
-        raise KeyError(f"no path from {src} to {dst}")
-    path = [dst]
-    while path[-1] != src:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
-def linking(d, source, target):
-    """Product of the decorations adjacent to the path but not on it.
-
-    `target` is a node id or an Arrowhead.  The self-linking of a node is
-    the product of everything incident to it; this is the one convention
-    consistent with multiplicities computed from explicit blow-up charts.
-    """
-    if isinstance(target, Arrowhead):
-        path = _path_nodes(d, source, target.node)
-        return _link_product(d, path, skip_arrow=target)
-    if source == target:
-        return prod(d.decorations_at(source))
-    path = _path_nodes(d, source, target)
-    return _link_product(d, path, skip_arrow=None)
-
-
-def _link_product(d, path, skip_arrow):
-    on_path = set()
-    for a, b in zip(path, path[1:]):
-        on_path.add((a, b))
-        on_path.add((b, a))
-    acc = 1
-    for v in path:
-        for e in d.node_edges(v):
-            if (v, e.other(v)) not in on_path:
-                acc *= e.dec_at(v)
-        skipped = False
-        for a in d.arrows_at(v):
-            if not skipped and a == skip_arrow:
-                skipped = True
-                continue
-            acc *= a.dec
-    return acc
 
 
 def edge_sides(d, e):
@@ -334,18 +281,56 @@ def edge_sides(d, e):
     return component(e.u), component(e.v)
 
 
-def linking_from_edge(d, e, target):
-    """Like linking, but the path starts at e and e's decorations are skipped."""
-    if isinstance(target, Arrowhead):
-        anchor, skip = target.node, target
-    else:
-        anchor, skip = target, None
-    u_side, v_side = edge_sides(d, e)
-    start = e.u if anchor in u_side else e.v
-    path = _path_nodes(d, start, anchor)
-    acc = _link_product(d, path, skip_arrow=skip)
-    # e's own decoration at the starting endpoint was counted; remove it
-    return acc // e.dec_at(start)
+def side_weights(d):
+    """Node multiplicities and far-side weights of a standard diagram, in one pass.
+
+    Returns (table, weights): table[v] is (N_v, nu_v), and weights[(x, v)]
+    is the function and form weight (M, i) of the side of edge x-v that
+    contains v, seen from the edge.  With P_v the product of the
+    decorations at v, d_f the decoration of node-edge f at v, and
+    own(v) = (sum of N_a, sum of (nu_a - 1) + 2 - delta_v) over the
+    arrowheads a at v (delta_v counts node-edges),
+
+        (N_v, nu_v) = P_v own(v) + sum over f = v-x of (P_v / d_f) W(v -> x)
+        W(x -> v)   = ((N_v, nu_v) - (P_v / d_f) W(v -> x)) / d_f.
+
+    A sweep from the leaves gives the weights pointing away from the root,
+    a sweep from the root the rest; every division is exact.
+    """
+    if d.has_decorated_arrow():
+        raise DecoratedArrowPresent(
+            "side weights are only defined when every arrowhead has decoration 1")
+    p = {v: prod(e.dec_at(v) for e in d.node_edges(v)) for v in d.nodes}
+    total = {v: [0, p[v] * (2 - len(d.node_edges(v)))] for v in d.nodes}
+    for a in d.arrows:
+        total[a.node][0] += p[a.node] * a.N
+        total[a.node][1] += p[a.node] * (a.nu - 1)
+    order, up = list(d.nodes[:1]), dict.fromkeys(d.nodes[:1])  # up: edge to root
+    for v in order:
+        for e in d.node_edges(v):
+            if e.other(v) not in up:
+                up[e.other(v)] = e
+                order.append(e.other(v))
+    # total[v] lacks the side of v's root edge until the second sweep adds it
+    weights = {}
+    for v in reversed(order[1:]):
+        e = up[v]
+        x, dv = e.other(v), e.dec_at(v)
+        m, i = weights[(x, v)] = (total[v][0] // dv, total[v][1] // dv)
+        k = p[x] // e.dec_at(x)
+        total[x][0] += k * m
+        total[x][1] += k * i
+    for v in order[1:]:
+        e = up[v]
+        x, dx = e.other(v), e.dec_at(e.other(v))
+        k = p[x] // dx
+        m, i = weights[(x, v)]
+        m, i = weights[(v, x)] = ((total[x][0] - k * m) // dx,
+                                  (total[x][1] - k * i) // dx)
+        k = p[v] // e.dec_at(v)
+        total[v][0] += k * m
+        total[v][1] += k * i
+    return {v: tuple(t) for v, t in total.items()}, weights
 
 
 # ---------------------------------------------------------------------------
@@ -353,38 +338,23 @@ def linking_from_edge(d, e, target):
 # ---------------------------------------------------------------------------
 
 
-def _require_standard(d):
-    if d.has_decorated_arrow():
-        raise DecoratedArrowPresent(
-            "linking formulas are only valid when every arrowhead has decoration 1")
-
-
 def multiplicities(d):
     """Multiplicity table (N_v, nu_v) for every node of a standard diagram.
 
-    N_v is the weighted sum of arrowhead N's by linking numbers; nu_v adds
-    the valency defect of every node and the form weights nu_a - 1 of every
-    arrowhead.  Existing caches are verified against the computed values.
+    N_v weighs the arrowhead N's over the whole tree; nu_v adds the valency
+    defect of every node and the form weights nu_a - 1 of every arrowhead
+    (see side_weights).  Existing caches are verified against the computed
+    values.
     """
-    _require_standard(d)
-    table = MultTable()
+    table = side_weights(d)[0]
+    out = MultTable()
     for v in d.nodes:
-        n_val = 0
-        nu_val = 0
-        for a in d.arrows:
-            la = linking(d, v, a)
-            n_val += a.N * la
-            nu_val += (a.nu - 1) * la
-        for w in d.nodes:
-            delta = valency(d, w, "plain")
-            if delta != 2:
-                nu_val += (2 - delta) * linking(d, v, w)
-        table[v] = (n_val, nu_val)
+        out[v] = table[v]
         cached = d.cache(v)
-        if cached is not None and tuple(cached) != (n_val, nu_val):
+        if cached is not None and tuple(cached) != out[v]:
             raise CacheMismatch(
-                f"node {v}: cached {tuple(cached)} != computed {(n_val, nu_val)}")
-    return table
+                f"node {v}: cached {tuple(cached)} != computed {out[v]}")
+    return out
 
 
 def cached_table(d):
@@ -414,35 +384,27 @@ def ensure_cached(d):
 # ---------------------------------------------------------------------------
 
 
-def splice_data(d, e):
-    """Function and form weights (M, i) of the two sides of edge e.
+def arrow_refined_weights(d):
+    """(plain, weights): d with its decorated arrowheads refined away, and
+    the far-side weights of plain (see side_weights).
 
-    The right side is the one containing e.v.  Decorated arrowheads must be
-    refined away first; the refine module does this on the fly.
+    plain is d itself when every arrowhead has decoration 1; otherwise d
+    must be fully cached, and plain carries the interpolated caches.
     """
     if d.has_decorated_arrow():
         from .refine import refine_all_arrows
 
         d = refine_all_arrows(ensure_cached(d))
-        e = d.edge_between(e.u, e.v)
-    _require_standard(d)
-    u_side, v_side = edge_sides(d, e)
-    out = []
-    for side in (v_side, u_side):
-        m_val = 0
-        i_val = 0
-        for a in d.arrows:
-            if a.node in side:
-                la = linking_from_edge(d, e, a)
-                m_val += a.N * la
-                i_val += (a.nu - 1) * la
-        for w in side:
-            delta = valency(d, w, "plain")
-            if delta != 2:
-                i_val += (2 - delta) * linking_from_edge(d, e, w)
-        out.append((m_val, i_val))
-    (m_r, i_r), (m_l, i_l) = out
-    return SpliceData(M=m_r, M_prime=m_l, i=i_r, i_prime=i_l)
+    return d, side_weights(d)[1]
+
+
+def splice_data(d, e):
+    """Function and form weights (M, i) of the two sides of edge e.
+
+    The right side is the one containing e.v.  Decorated arrowheads are
+    refined away first (see arrow_refined_weights).
+    """
+    return SpliceData.across(arrow_refined_weights(d)[1], e.u, e.v)
 
 
 def cone_vector(d, e, endpoint):

@@ -13,10 +13,10 @@ from fractions import Fraction
 from math import gcd
 
 from .algebra import CycloProduct
-from .diagram import splice_data, valency
+from .diagram import arrow_refined_weights, valency
 from .errors import NoFArrow, NonPolynomialDelta1
 from .refine import realizable_refine, reduce
-from .zeta import poles, top_zeta, twisted_top_zeta
+from .zeta import _sum_terms, _top_terms, poles
 
 
 @dataclass(frozen=True, order=True)
@@ -39,7 +39,12 @@ def monodromy_zeta(diagram):
     Computed on the realizable refinement; inserted chain nodes have
     exponent zero, so the value only depends on the diagram itself.
     """
-    d = realizable_refine(diagram)
+    return _zeta_refined(realizable_refine(diagram))
+
+
+def _zeta_refined(d):
+    # helpers named *_refined take a realizable refinement, so that each
+    # public function refines its input once
     _f_arrow_gcd(d)
     acc = {}
     for v in d.nodes:
@@ -61,7 +66,11 @@ def delta0(diagram):
 
 def delta1(diagram):
     """Characteristic polynomial of h1 as a cyclotomic product."""
-    out = monodromy_zeta(diagram) * delta0(diagram)
+    return _delta1_refined(realizable_refine(diagram))
+
+
+def _delta1_refined(d):
+    out = _zeta_refined(d) * CycloProduct({_f_arrow_gcd(d): 1})
     if not out.is_polynomial():
         raise NonPolynomialDelta1(
             "monodromy zeta times Delta_0 has a negative root multiplicity")
@@ -70,8 +79,9 @@ def delta1(diagram):
 
 def eigenvalues(diagram):
     """All eigenvalue classes of h0 and h1 with their multiplicities."""
-    d1 = delta1(diagram)
-    d0_order = _f_arrow_gcd(realizable_refine(diagram))
+    refined = realizable_refine(diagram)
+    d1 = _delta1_refined(refined)
+    d0_order = _f_arrow_gcd(refined)
     out = set()
     denominators = set()
     for n in d1.exps:
@@ -92,11 +102,10 @@ def eigenvalues(diagram):
 def is_eigenvalue(diagram, q):
     """True when exp(2*pi*i*q) is an eigenvalue of h0 or h1."""
     q = Fraction(q) % 1
-    d1 = delta1(diagram)
-    if d1.multiplicity(q) > 0:
+    refined = realizable_refine(diagram)
+    if _delta1_refined(refined).multiplicity(q) > 0:
         return True
-    d0_order = _f_arrow_gcd(realizable_refine(diagram))
-    return d0_order % q.denominator == 0
+    return _f_arrow_gcd(refined) % q.denominator == 0
 
 
 # ---------------------------------------------------------------------------
@@ -131,18 +140,17 @@ def is_allowed(diagram):
     For each node of the reduced diagram, the legs are its node-edges with
     near decoration d and far-side form weight i.  If d divides i on at
     least n + r - 2 legs (r counting f-arrows at the node), then i = d must
-    also hold on at least n + r - 2 legs.
+    also hold on at least n + r - 2 legs.  The far-side weights of all legs
+    come from one side-weight pass, after refining decorated arrowheads.
     """
     d = reduce(diagram)
+    weights = arrow_refined_weights(d)[1]
     arrow_ok = all((a.N, a.nu) != (0, 0) for a in d.arrows)
     stars = []
     verdict = arrow_ok
     for v in d.nodes:
-        legs = []
-        for e in d.node_edges(v):
-            data = splice_data(d, e)
-            i_far = data.i if e.u == v else data.i_prime
-            legs.append((e.dec_at(v), i_far))
+        legs = [(e.dec_at(v), weights[(v, e.other(v))][1])
+                for e in d.node_edges(v)]
         n = len(legs)
         r = sum(1 for a in d.arrows_at(v) if a.N >= 1)
         need = n + r - 2
@@ -195,7 +203,7 @@ def mc_report(diagram, twisted_orders=()):
     non-reduced components contributes poles like -1/2 for a square factor.
     """
     refined = realizable_refine(diagram)
-    d1 = delta1(diagram)
+    d1 = _delta1_refined(refined)
     d0_order = _f_arrow_gcd(refined)
     branch_orders = sorted({a.N for a in refined.arrows if a.N >= 2})
 
@@ -214,9 +222,9 @@ def mc_report(diagram, twisted_orders=()):
             recs.append(PoleRecord(s0, mult, q, via != "none", via))
         return ZetaReport(kind, z, tuple(recs))
 
-    zetas = [classify(top_zeta(diagram), "top")]
+    zetas = [classify(_sum_terms(_top_terms(refined)), "top")]
     for e in twisted_orders:
-        zetas.append(classify(twisted_top_zeta(diagram, e), f"twisted-{e}"))
+        zetas.append(classify(_sum_terms(_top_terms(refined, e)), f"twisted-{e}"))
     return MCReport(allowed=is_allowed(diagram), zetas=tuple(zetas))
 
 

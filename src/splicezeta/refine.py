@@ -8,6 +8,7 @@ with decoration above 1 does the same for the cone it spans with the ray
 
 from __future__ import annotations
 
+from itertools import groupby
 from math import gcd
 
 from .diagram import (
@@ -262,18 +263,16 @@ def is_realizable(d):
 def realizable_refine(d):
     """Minimal refinement with determinant-one edges and plain arrowheads.
 
-    The result carries a complete multiplicity cache: from the linking
-    formulas when the input had no decorated arrowheads, by interpolation
-    otherwise (in which case the input must be fully cached).
+    The result carries a complete multiplicity cache: from the side-weight
+    pass when the input had no decorated arrowheads, by interpolation
+    otherwise (in which case the input must be fully cached).  Refining a
+    refinement inserts nothing; it only checks the caches again.
     """
     d = ensure_cached(d)
-    while True:
-        bad = [e for e in d.edges if edge_determinant(d, e) != 1]
-        if not bad:
-            break
-        d = refine_edge(d, bad[0])
-    d = refine_all_arrows(d)
-    return d
+    # refining one edge leaves the determinants of the others unchanged
+    for e in [e for e in d.edges if edge_determinant(d, e) != 1]:
+        d = refine_edge(d, e)
+    return refine_all_arrows(d)
 
 
 def reduce(d):
@@ -301,21 +300,61 @@ def reduce(d):
 # ---------------------------------------------------------------------------
 
 
+def _centres(d):
+    """The one or two nodes left after peeling leaves off the tree."""
+    degree = {v: len(d.node_edges(v)) for v in d.nodes}
+    leaves = [v for v in d.nodes if degree[v] <= 1]
+    remaining = len(d.nodes)
+    while remaining > 2:
+        remaining -= len(leaves)
+        peeled = []
+        for v in leaves:
+            for e in d.node_edges(v):
+                w = e.other(v)
+                degree[w] -= 1
+                if degree[w] == 1:
+                    peeled.append(w)
+        leaves = peeled
+    return leaves
+
+
 def canonical_form(d, with_caches=True):
-    """A canonical nested-tuple encoding, invariant under node renaming."""
+    """A canonical encoding, invariant under node renaming.
 
-    def encode(v, parent, dec_in):
-        arrows = tuple(sorted((a.dec, a.N, a.nu) for a in d.arrows_at(v)))
-        cache = tuple(d.cache(v)) if (with_caches and d.cache(v) is not None) else None
-        children = []
-        for e in d.node_edges(v):
-            w = e.other(v)
-            if w == parent:
-                continue
-            children.append(encode(w, v, (e.dec_at(v), e.dec_at(w))))
-        return (dec_in, cache, arrows, tuple(sorted(children)))
+    The tree is rooted at its centre, or at whichever of its two centres
+    gives the smaller encoding, and ranked level by level from the deepest
+    (Aho-Hopcroft-Ullman): a node's key holds the decorations of the edge to
+    its parent, its cache, its arrowheads and the sorted ranks of its
+    children, and its rank is the place of its key among the distinct keys
+    of its level.  The encoding is the tuple of those sorted key lists, so
+    comparing two encodings never recurses through the tree.
+    """
+    arrows = {v: [] for v in d.nodes}
+    for a in d.arrows:
+        arrows[a.node].append((a.dec, a.N, a.nu))
 
-    return min(encode(v, None, None) for v in d.nodes)
+    def key(v, e, rank):
+        cache = d.cache(v) if with_caches else None
+        return (() if e is None else (e.dec_at(e.other(v)), e.dec_at(v)),
+                () if cache is None else tuple(cache), tuple(sorted(arrows[v])),
+                tuple(sorted(rank[f.other(v)] for f in d.node_edges(v) if f is not e)))
+
+    def encode(root):
+        order, up, depth = [root], {root: None}, {root: 0}
+        for v in order:
+            for e in d.node_edges(v):
+                if e is not up[v]:
+                    up[e.other(v)], depth[e.other(v)] = e, depth[v] + 1
+                    order.append(e.other(v))
+        rank, out = {}, []
+        for _, level in groupby(reversed(order), depth.get):
+            keys = {v: key(v, up[v], rank) for v in level}
+            out.append(tuple(sorted(set(keys.values()))))
+            index = {k: i for i, k in enumerate(out[-1])}
+            rank.update((v, index[k]) for v, k in keys.items())
+        return tuple(out)
+
+    return min(encode(c) for c in _centres(d))
 
 
 def isomorphic(d1, d2, with_caches=True):

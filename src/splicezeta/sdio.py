@@ -7,7 +7,7 @@ Document format, one directive per line, `#` starts a comment:
     arrow <id> <dec> <N> <nu>
 
 Multiplicity caches are serializable so spliced diagrams, whose caches
-cannot be recomputed from the linking formulas, round-trip losslessly.
+cannot be recomputed from the side weights, round-trip losslessly.
 """
 
 from __future__ import annotations

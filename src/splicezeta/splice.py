@@ -15,13 +15,12 @@ from .diagram import (
     Arrowhead,
     Diagram,
     SpliceData,
+    arrow_refined_weights,
     check_valid,
     edge_sides,
     ensure_cached,
-    splice_data,
 )
 from .errors import DegenerateDenominator, NotAnEdge
-from .refine import refine_all_arrows
 from .zeta import L_MINUS_1_SQ, ZetaExpr, motivic_zeta, top_zeta
 
 
@@ -40,13 +39,12 @@ def splice(diagram, edge_key):
     defined for spliced diagrams as well.
     """
     u, v = edge_key
-    d = ensure_cached(diagram)
-    d = refine_all_arrows(d)
+    d, weights = arrow_refined_weights(ensure_cached(diagram))
     e = d.edge_between(u, v)
     if e is None:
         raise NotAnEdge(f"{u}-{v} is not a node-edge")
     u, v = e.u, e.v
-    data = splice_data(d, e)
+    data = SpliceData.across(weights, u, v)
     u_side, v_side = edge_sides(d, e)
 
     def half(keep, stub, stub_pair):

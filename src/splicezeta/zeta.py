@@ -178,6 +178,8 @@ def motivic_zeta(diagram):
 
 def _top_terms(d, order=None):
     """RatFuncS terms of the (possibly twisted) topological zeta function."""
+    if order is not None and order < 1:
+        raise ValueError("order must be a positive integer")
     nodes, edges, arrows = _strata(d)
 
     def ok(*pairs):
@@ -210,8 +212,6 @@ def top_zeta(diagram):
 
 def twisted_top_zeta(diagram, order):
     """Topological zeta restricted to strata whose N's are divisible by order."""
-    if order < 1:
-        raise ValueError("order must be a positive integer")
     return _sum_terms(_top_terms(realizable_refine(diagram), order))
 
 

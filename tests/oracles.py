@@ -1,14 +1,17 @@
 """Independent oracles used to freeze expected values.
 
-Nothing in here goes through the package's diagram machinery: multiplicities
-come from explicit blow-up charts, subdivisions from exhaustive search, root
-orders from expanded polynomials.
+Nothing in here goes through the package's formulas: multiplicities come
+from explicit blow-up charts or from linking numbers read off tree paths,
+subdivisions from exhaustive search, root orders from expanded polynomials.
+Only the diagram data structure and its edge sides are shared.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import sympy as sp
+
+from splicezeta.diagram import Arrowhead, edge_sides
 
 
 def det(a, b):
@@ -155,3 +158,106 @@ def toric_values(ray, m, m_prime, i, i_prime):
     """(N, nu) along the divisor of a primitive quadrant ray (a, b)."""
     a, b = ray
     return (a * m + b * m_prime, a * i + b * i_prime)
+
+
+# ---------------------------------------------------------------------------
+# Linking numbers by walking tree paths.
+# ---------------------------------------------------------------------------
+
+def _path_nodes(d, src, dst):
+    """Node sequence of the tree path from src to dst."""
+    parent = {src: None}
+    stack = [src]
+    while stack:
+        v = stack.pop()
+        if v == dst:
+            break
+        for e in d.node_edges(v):
+            w = e.other(v)
+            if w not in parent:
+                parent[w] = v
+                stack.append(w)
+    if dst not in parent:
+        raise KeyError(f"no path from {src} to {dst}")
+    path = [dst]
+    while path[-1] != src:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
+
+
+def linking(d, source, target):
+    """Product of the decorations adjacent to the path but not on it.
+
+    `target` is a node id or an Arrowhead.  The self-linking of a node is
+    the product of everything incident to it; this is the one convention
+    consistent with multiplicities computed from explicit blow-up charts.
+    """
+    if isinstance(target, Arrowhead):
+        path = _path_nodes(d, source, target.node)
+        return _link_product(d, path, skip_arrow=target)
+    if source == target:
+        return prod(d.decorations_at(source))
+    path = _path_nodes(d, source, target)
+    return _link_product(d, path, skip_arrow=None)
+
+
+def _link_product(d, path, skip_arrow):
+    on_path = set()
+    for a, b in zip(path, path[1:]):
+        on_path.add((a, b))
+        on_path.add((b, a))
+    acc = 1
+    for v in path:
+        for e in d.node_edges(v):
+            if (v, e.other(v)) not in on_path:
+                acc *= e.dec_at(v)
+        skipped = False
+        for a in d.arrows_at(v):
+            if not skipped and a == skip_arrow:
+                skipped = True
+                continue
+            acc *= a.dec
+    return acc
+
+
+def linking_from_edge(d, e, target):
+    """Like linking, but the path starts at e and e's decorations are skipped."""
+    if isinstance(target, Arrowhead):
+        anchor, skip = target.node, target
+    else:
+        anchor, skip = target, None
+    u_side, v_side = edge_sides(d, e)
+    start = e.u if anchor in u_side else e.v
+    path = _path_nodes(d, start, anchor)
+    acc = _link_product(d, path, skip_arrow=skip)
+    # e's own decoration at the starting endpoint was counted; remove it
+    return acc // e.dec_at(start)
+
+
+def linking_multiplicities(d):
+    """(N_v, nu_v) of every node as sums of linking numbers over the tree."""
+    table = {}
+    for v in d.nodes:
+        n_val = nu_val = 0
+        for a in d.arrows:
+            la = linking(d, v, a)
+            n_val += a.N * la
+            nu_val += (a.nu - 1) * la
+        for w in d.nodes:
+            nu_val += (2 - len(d.node_edges(w))) * linking(d, v, w)
+        table[v] = (n_val, nu_val)
+    return table
+
+
+def linking_side_weight(d, e, side):
+    """(M, i) of the nodes `side` of edge e as sums of linking numbers from e."""
+    m_val = i_val = 0
+    for a in d.arrows:
+        if a.node in side:
+            la = linking_from_edge(d, e, a)
+            m_val += a.N * la
+            i_val += (a.nu - 1) * la
+    for w in side:
+        i_val += (2 - len(d.node_edges(w))) * linking_from_edge(d, e, w)
+    return (m_val, i_val)

@@ -7,7 +7,6 @@ from splicezeta.algebra import (
     CycloProduct,
     Poly2,
     RatFuncS,
-    cyclo_multiplicity,
     eval_at_one_with_cancellation,
 )
 from splicezeta.errors import PoleAtOne
@@ -145,10 +144,10 @@ def test_ratfunc_negative_nu_rendering():
 
 def test_cyclo_multiplicity_cusp_values():
     p = CycloProduct({6: 1, 2: -1, 3: -1})
-    assert cyclo_multiplicity(p, Fraction(1, 6)) == 1
-    assert cyclo_multiplicity(p, Fraction(1, 2)) == 0
+    assert p.multiplicity(Fraction(1, 6)) == 1
+    assert p.multiplicity(Fraction(1, 2)) == 0
     p1 = CycloProduct({6: 1, 2: -1, 3: -1, 1: 1})
-    assert cyclo_multiplicity(p1, Fraction(0)) == 0
+    assert p1.multiplicity(Fraction(0)) == 0
 
 
 def test_cyclo_multiplicity_matches_expansion():
@@ -158,7 +157,7 @@ def test_cyclo_multiplicity_matches_expansion():
         p = CycloProduct(exps)
         for d in sorted({1} | set(exps) | {n // 2 for n in exps if n % 2 == 0}):
             q = Fraction(1, d) if d > 1 else Fraction(0)
-            assert cyclo_multiplicity(p, q) == root_order(exps, q)
+            assert p.multiplicity(q) == root_order(exps, q)
 
 
 def test_cyclo_multiplicity_matches_expansion_with_negatives():
@@ -166,7 +165,7 @@ def test_cyclo_multiplicity_matches_expansion_with_negatives():
     p = CycloProduct(exps)
     for d in (1, 2, 3, 6):
         q = Fraction(1, d) if d > 1 else Fraction(0)
-        assert cyclo_multiplicity(p, q) == root_order(exps, q)
+        assert p.multiplicity(q) == root_order(exps, q)
 
 
 def test_cyclo_product_and_polynomiality():

@@ -2,6 +2,7 @@ import io
 
 import pytest
 
+from splicezeta import refine
 from splicezeta.cli import main
 from splicezeta.sdio import write_sd, example
 
@@ -30,6 +31,41 @@ def test_zeta_twisted_needs_order(capsys):
                            capsys=capsys)
     assert code == 2
     assert "order" in err
+
+
+@pytest.mark.parametrize("order", ["0", "-3", "two"])
+def test_zeta_twisted_order_must_be_positive(order, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["zeta", "--kind", "twisted", "--order", order, "example:cusp"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--order" in err
+    assert "Traceback" not in err
+
+
+def test_mc_check_twisted_orders_must_be_positive(capsys):
+    code, _, err = run_cli("mc-check", "--twisted-orders", "2,0", "example:cusp",
+                           capsys=capsys)
+    assert code == 2
+    assert "positive" in err
+
+
+def test_commands_refine_their_input_once(monkeypatch, capsys):
+    calls = []
+    for name in ("refine_edge", "refine_arrow"):
+        def counted(*args, _original=getattr(refine, name), **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(refine, name, counted)
+    refine.realizable_refine(example("nv2"))
+    once = len(calls)
+    assert once > 0
+    for argv in (["monodromy", "example:nv2"],
+                 ["mc-check", "--twisted-orders", "auto", "example:nv2"]):
+        calls.clear()
+        assert main(argv) == 0
+        assert len(calls) == once, argv
+    capsys.readouterr()
 
 
 def test_verify_splice_nv2_edge(capsys):
@@ -144,6 +180,36 @@ def test_allowed_output(capsys):
     code, out, _ = run_cli("allowed", "example:cusp-x3y3", capsys=capsys)
     assert code == 0
     assert "allowed: no" in out
+
+
+# fully cached, with a decorated arrowhead at a node of three node-edges;
+# refining that arrowhead would add a leg (2, 4) to the star at v, whose
+# verdict then flips from ok to violated
+DECORATED_STAR = """\
+node v N=6 nu=14
+node x1 N=6 nu=15
+node x2 N=6 nu=15
+node x3 N=2 nu=5
+edge v x1 1 7
+edge v x2 1 7
+edge v x3 3 1
+arrow v 1 1 1
+arrow v 2 0 4
+arrow x1 1 0 1
+arrow x2 1 0 1
+arrow x3 1 0 1
+"""
+
+
+def test_mc_check_allowed_verdict_matches_allowed(tmp_path, capsys):
+    path = tmp_path / "star.sd"
+    path.write_text(DECORATED_STAR)
+    code, out, _ = run_cli("allowed", "--machine", str(path), capsys=capsys)
+    assert code == 0
+    assert out.splitlines()[0] == "allowed=yes"
+    code, out, _ = run_cli("mc-check", "--machine", str(path), capsys=capsys)
+    assert code == 0
+    assert out.splitlines()[0] == "allowed=yes"
 
 
 def test_example_listing_and_gen(capsys):

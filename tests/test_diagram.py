@@ -6,8 +6,7 @@ from splicezeta.diagram import (
     Edge,
     cone_vector,
     edge_determinant,
-    linking,
-    linking_from_edge,
+    edge_sides,
     multiplicities,
     splice_data,
     valency,
@@ -15,10 +14,23 @@ from splicezeta.diagram import (
     validation_warnings,
 )
 from splicezeta.errors import CacheMismatch, DecoratedArrowPresent
-from splicezeta.refine import det2
-from splicezeta.sdio import builder_cusp, builder_monomial, builder_nv_example2, random_diagram
+from splicezeta.refine import det2, reduce
+from splicezeta.sdio import (
+    EXAMPLES,
+    builder_cusp,
+    builder_monomial,
+    builder_nv_example2,
+    example,
+    random_diagram,
+)
 
-from oracles import cusp_chart_multiplicities
+from oracles import (
+    cusp_chart_multiplicities,
+    linking,
+    linking_from_edge,
+    linking_multiplicities,
+    linking_side_weight,
+)
 
 
 def f_arrow(d, node=None):
@@ -238,3 +250,30 @@ def test_endpoint_decomposition_invariant():
                 n, nu = table[v]
                 assert n == alpha * own[0] + beta * other[0]
                 assert nu == alpha * own[1] + beta * other[1]
+
+
+def _check_against_linking_oracle(d):
+    assert multiplicities(d) == linking_multiplicities(d)
+    for e in d.edges:
+        u_side, v_side = edge_sides(d, e)
+        data = splice_data(d, e)
+        assert (data.M, data.i) == linking_side_weight(d, e, v_side)
+        assert (data.M_prime, data.i_prime) == linking_side_weight(d, e, u_side)
+
+
+def test_side_weights_match_linking_oracle_on_bundled_diagrams():
+    diagrams = [example(name) for name in sorted(EXAMPLES)]
+    diagrams += [builder_nv_example2(*t) for t in [
+        (1, 1, 1, 1), (2, 3, 4, 5), (5, 1, 9, 2), (1, 2, 3, 4), (3, 3, 3, 3),
+        (4, 1, 2, 7), (2, 5, 1, 1), (9, 9, 1, 6), (1, 4, 6, 2)]]
+    for d in diagrams:
+        _check_against_linking_oracle(d)
+
+
+@pytest.mark.parametrize("m", [6, 14, 30, 60])
+def test_side_weights_match_linking_oracle_on_random_diagrams(m):
+    # the path-walking oracle is slow on the largest size; fewer seeds there
+    for seed in range(10 if m == 60 else 60):
+        d = random_diagram(seed, m)
+        _check_against_linking_oracle(d)
+        _check_against_linking_oracle(reduce(d))

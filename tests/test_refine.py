@@ -97,7 +97,7 @@ def test_refine_edge_preserves_multiplicities():
             new_table = multiplicities(refined.without_caches())
             for v in d.nodes:
                 assert new_table[v] == table[v]
-            # interpolation caches equal the linking-formula values
+            # interpolation caches equal the side-weight values
             for v in refined.nodes:
                 assert new_table[v] == tuple(refined.cache(v))
 
@@ -208,6 +208,30 @@ def test_reduce_xy2_chain_roundtrip():
     assert multiplicities(back.without_caches()) == multiplicities(back.without_caches())
     for v in ("n1", "n2"):
         assert tuple(back.cache(v)) == table[v]
+
+
+def test_isomorphic_on_long_chain_refinement():
+    # one edge whose cone refines into a chain of 1500 nodes
+    chain = Diagram(
+        ["a", "b"], [Edge("a", "b", 1, 1500)],
+        [Arrowhead("a", 1, 1, 1), Arrowhead("a", 1, 1, 1),
+         Arrowhead("b", 1, 1, 1), Arrowhead("b", 1, 0, 2)])
+    refined = realizable_refine(chain)
+    assert len(refined.nodes) == 1500
+    name = {v: f"x{k}" for k, v in enumerate(reversed(refined.nodes))}
+    renamed = Diagram(
+        [name[v] for v in refined.nodes],
+        [Edge(name[e.u], name[e.v], e.du, e.dv) for e in refined.edges],
+        [Arrowhead(name[a.node], a.dec, a.N, a.nu) for a in refined.arrows],
+        {name[v]: c for v, c in refined.caches.items()})
+    assert isomorphic(refined, refined)
+    assert isomorphic(refined, renamed)
+    assert canonical_form(refined) == canonical_form(renamed)
+    assert isomorphic(reduce(refined), ensure_cached(chain))
+    form = Arrowhead("b", 1, 0, 2)
+    other = Diagram(chain.nodes, chain.edges,
+                    [a for a in chain.arrows if a != form] + [Arrowhead("b", 1, 0, 3)])
+    assert not isomorphic(refined, realizable_refine(other), with_caches=False)
 
 
 def test_canonical_form_detects_renaming():
