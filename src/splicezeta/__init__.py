@@ -1,11 +1,6 @@
 """Exact calculator for splice diagrams of plane-curve singularities."""
 
-from .algebra import (
-    CycloProduct,
-    Poly2,
-    RatFuncS,
-    eval_at_one_with_cancellation,
-)
+from .algebra import CycloProduct, Poly2, RatFuncS
 from .diagram import (
     Arrowhead,
     Diagram,

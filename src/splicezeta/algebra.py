@@ -11,8 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import PoleAtOne
-
 # ---------------------------------------------------------------------------
 # Sparse polynomials in (L, T).
 #
@@ -132,37 +130,6 @@ class Poly2:
     def mul_monomial(self, c, el, et):
         return Poly2({(a + el, b + et): cc * c for (a, b), cc in self.terms.items()})
 
-    def is_univariate_l(self):
-        return all(b == 0 for (_, b) in self.terms)
-
-    def value_at_one(self):
-        return sum(self.terms.values())
-
-    def min_l_exp(self):
-        return min((a for (a, _) in self.terms), default=0)
-
-    def div_l_minus_one(self):
-        """Exact division of a univariate-in-L polynomial by (L - 1)."""
-        shift = self.min_l_exp()
-        coeffs = {}
-        for (a, b), c in self.terms.items():
-            if b != 0:
-                raise ValueError("not univariate in L")
-            coeffs[a - shift] = c
-        deg = max(coeffs)
-        out = {}
-        carry = 0
-        # synthetic division by the root 1, highest degree first
-        for k in range(deg, 0, -1):
-            carry += coeffs.get(k, 0)
-            if carry:
-                out[(k - 1 + shift, 0)] = carry
-        if carry + coeffs.get(0, 0) != 0:
-            raise ValueError("not divisible by (L - 1)")
-        p = Poly2()
-        p.terms = out
-        return p
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
@@ -201,27 +168,6 @@ def render_poly2(p):
         else:
             chunks.append(f" + {body}" if c > 0 else f" - {body}")
     return "".join(chunks)
-
-
-def eval_at_one_with_cancellation(num, den):
-    """Value of num/den at L = 1 after cancelling common (L - 1) factors.
-
-    Both arguments are integer (Laurent) polynomials in L alone.  Laurent
-    shifts are harmless: L^k is 1 at L = 1 and coprime to (L - 1).
-    """
-    if den.is_zero():
-        raise ValueError("denominator is identically zero")
-    if not num.is_univariate_l() or not den.is_univariate_l():
-        raise ValueError("inputs must be univariate in L")
-    if num.is_zero():
-        return Fraction(0)
-    while num.value_at_one() == 0 and den.value_at_one() == 0:
-        num = num.div_l_minus_one()
-        den = den.div_l_minus_one()
-    dv = den.value_at_one()
-    if dv == 0:
-        raise PoleAtOne("denominator still vanishes at L = 1")
-    return Fraction(num.value_at_one(), dv)
 
 
 # ---------------------------------------------------------------------------

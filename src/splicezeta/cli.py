@@ -2,8 +2,9 @@
 
 Inputs are paths to diagram documents, `-` for stdin, or `example:<name>`
 for a bundled diagram.  Exit codes: 0 success or verified, 1 verification
-failure, 2 input error.  Every subcommand has a `--machine` mode printing
-stable `key=value` records, one per line, with no spaces inside values.
+failure, 2 input or output error (standard output closed early counts as
+an output error).  Every subcommand has a `--machine` mode printing stable
+`key=value` records, one per line, with no spaces inside values.
 """
 
 from __future__ import annotations
@@ -350,11 +351,16 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args, sys.stdout)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        code = args.fn(args, sys.stdout)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left; point stdout at devnull so that the interpreter's
+        # final flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output closed early", file=sys.stderr)
         return 2
-    except SpliceZetaError as exc:
+    except (InputError, SpliceZetaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

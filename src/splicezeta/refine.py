@@ -18,6 +18,7 @@ from .diagram import (
     cone_vector,
     edge_determinant,
     ensure_cached,
+    multiplicities,
 )
 from .errors import (
     MissingCache,
@@ -265,34 +266,44 @@ def realizable_refine(d):
 
     The result carries a complete multiplicity cache: from the side-weight
     pass when the input had no decorated arrowheads, by interpolation
-    otherwise (in which case the input must be fully cached).  Refining a
-    refinement inserts nothing; it only checks the caches again.
+    otherwise (in which case the input must be fully cached, and the
+    interpolated caches are checked against the side-weight pass of the
+    result).  Refining a refinement inserts nothing; it only checks the
+    caches again.
     """
+    decorated = d.has_decorated_arrow()
     d = ensure_cached(d)
     # refining one edge leaves the determinants of the others unchanged
     for e in [e for e in d.edges if edge_determinant(d, e) != 1]:
         d = refine_edge(d, e)
-    return refine_all_arrows(d)
+    d = refine_all_arrows(d)
+    if decorated:
+        multiplicities(d)
+    return d
 
 
 def reduce(d):
-    """Remove nodes with exactly two node-edges and no arrowheads."""
-    while True:
-        target = None
-        for v in d.nodes:
-            if len(d.node_edges(v)) == 2 and not d.arrows_at(v):
-                target = v
-                break
-        if target is None:
-            return d
-        e1, e2 = d.node_edges(target)
-        u, w = e1.other(target), e2.other(target)
-        merged = Edge(u, w, e1.dec_at(u), e2.dec_at(w))
-        nodes = [x for x in d.nodes if x != target]
-        edges = [f for f in d.edges if f is not e1 and f is not e2]
-        edges.append(merged)
-        caches = {k: val for k, val in d.caches.items() if k != target}
-        d = Diagram(nodes, edges, d.arrows, caches)
+    """Remove nodes with exactly two node-edges and no arrowheads.
+
+    Each maximal run of such nodes becomes one edge between the kept nodes
+    at its ends, decorated as the run's end edges are at those nodes.
+    """
+    arrowed = {a.node for a in d.arrows}
+    removed = {v for v in d.nodes
+               if len(d.node_edges(v)) == 2 and v not in arrowed}
+    kept = [v for v in d.nodes if v not in removed]
+    edges = [e for e in d.edges if e.u not in removed and e.v not in removed]
+    for u in kept:
+        for first in d.node_edges(u):
+            e, w = first, first.other(u)
+            while w in removed:
+                e = next(f for f in d.node_edges(w) if f is not e)
+                w = e.other(w)
+            # a run is walked from both ends; keep it once
+            if e is not first and u < w:
+                edges.append(Edge(u, w, first.dec_at(u), e.dec_at(w)))
+    caches = {k: val for k, val in d.caches.items() if k not in removed}
+    return Diagram(kept, edges, d.arrows, caches)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ the punctured exceptional curve and the classical values.
 
 from __future__ import annotations
 
-from .algebra import Poly2, RatFuncS, eval_at_one_with_cancellation
+from fractions import Fraction
+
+from .algebra import Poly2, RatFuncS
 from .diagram import valency
 from .errors import DegenerateDenominator, PoleAtOne
 from .refine import realizable_refine
@@ -77,14 +79,14 @@ class ZetaExpr:
                 out[p] = max(out.get(p, 0), m)
         return out
 
-    def cleared_numerator(self, denominator=None):
+    def cleared_numerator(self):
         """Numerator over the common denominator prod (L^nu - T^N)^mult.
 
-        With the default denominator (this expression's own pair multiset)
-        the expression equals the returned polynomial divided by the product
-        of the denominator binomials.
+        The multiset is this expression's own (see pairs), so the expression
+        equals the returned polynomial divided by the product of the
+        denominator binomials.
         """
-        den = dict(denominator) if denominator is not None else self.pairs()
+        den = self.pairs()
         total = Poly2.zero()
         for key, coeff in self.terms.items():
             counts = {}
@@ -215,41 +217,58 @@ def twisted_top_zeta(diagram, order):
     return _sum_terms(_top_terms(realizable_refine(diagram), order))
 
 
+def _binomials(a, k):
+    """C(a, 0), ..., C(a, k): the expansion of L^a = (1 + eps)^a to order k."""
+    out = [1]
+    for r in range(1, k + 1):
+        out.append(out[-1] * (a - r + 1) // r)
+    return out
+
+
+def _laurent_at_one(coeff, exps):
+    """Orders -k..0 in eps = L - 1 of coeff(L) / prod (L^m - 1).
+
+    Entry j of the result is the coefficient of eps^(j - k), k = len(exps).
+    """
+    k = len(exps)
+    num = [0] * (k + 1)
+    for (a, b), c in coeff.terms.items():
+        if b:
+            raise ValueError("coefficients must be univariate in L")
+        for r, x in enumerate(_binomials(a, k)):
+            num[r] += c * x
+    den = [1] + [0] * k
+    for m in exps:
+        g = _binomials(m, k + 1)[1:]  # (L^m - 1) / eps
+        den = [sum(den[i] * g[j - i] for i in range(j + 1)) for j in range(k + 1)]
+    out = []
+    for j in range(k + 1):
+        out.append(Fraction(num[j] - sum(out[i] * den[j - i] for i in range(j)),
+                            den[0]))
+    return out
+
+
 def specialize_chi_top(zeta, n):
     """Euler-characteristic value of the motivic zeta at T = L^(-n).
 
-    Substituting turns every factor into L^(nu + n*N) - 1; the result is a
-    single rational function of L evaluated at 1 after cancelling the
-    common (L - 1) powers.
+    Substituting turns every factor T^N / (L^nu - T^N) into 1 / (L^m - 1)
+    with m = nu + n*N.  The value at L = 1 is the order-0 coefficient of the
+    sum of the terms' Laurent expansions in eps = L - 1 (the Denef-Loeser
+    limit), so no denominators are cleared; orders below 0 must cancel in
+    the sum.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    exps = {}
-    for key in zeta.terms:
-        for (nu, nn) in key:
-            m = nu + n * nn
-            if m == 0:
-                raise PoleAtOne(f"pair {(nu, nn)} degenerates at T = L^-{n}")
-            exps[(nu, nn)] = m
-    den_mult = zeta.pairs()
-    num = Poly2.zero()
+    orders = {}
     for key, coeff in zeta.terms.items():
-        counts = {}
-        shift = 0
-        for p in key:
-            counts[p] = counts.get(p, 0) + 1
-            shift -= n * p[1]
-        part = coeff.mul_monomial(1, shift, 0)
-        for p, m in den_mult.items():
-            need = m - counts.get(p, 0)
-            for _ in range(need):
-                part = part.mul_binomial(exps[p], 0)
-        num = num + part
-    den = Poly2.one()
-    for p, m in den_mult.items():
-        for _ in range(m):
-            den = den.mul_binomial(exps[p], 0)
-    return eval_at_one_with_cancellation(num, den)
+        exps = [nu + n * nn for (nu, nn) in key]
+        if 0 in exps:
+            raise PoleAtOne(f"pair {key[exps.index(0)]} degenerates at T = L^-{n}")
+        for j, c in enumerate(_laurent_at_one(coeff, exps)):
+            orders[j - len(key)] = orders.get(j - len(key), 0) + c
+    if any(c for order, c in orders.items() if order < 0):
+        raise PoleAtOne("the specialization has a pole at L = 1")
+    return Fraction(orders.get(0, 0))
 
 
 def poles(ratfunc):

@@ -1,22 +1,9 @@
 import random
 from fractions import Fraction
 
-import pytest
-
-from splicezeta.algebra import (
-    CycloProduct,
-    Poly2,
-    RatFuncS,
-    eval_at_one_with_cancellation,
-)
-from splicezeta.errors import PoleAtOne
+from splicezeta.algebra import CycloProduct, Poly2, RatFuncS
 
 from oracles import root_order, sum_terms_at
-
-
-def lpoly(*coeffs):
-    """Polynomial in L from constant term upward."""
-    return Poly2({(k, 0): c for k, c in enumerate(coeffs) if c})
 
 
 def random_poly(rng, size=5):
@@ -49,26 +36,6 @@ def test_poly2_render_is_sorted_and_stable():
     assert str(p) == "L^2 - 3*T + 2"
     assert str(Poly2.zero()) == "0"
     assert str(Poly2({(-2, 3): 1})) == "L^-2*T^3"
-
-
-def test_eval_at_one_simple_cancellation():
-    # (L^2 - 1)/(L - 1) at 1
-    assert eval_at_one_with_cancellation(lpoly(-1, 0, 1), lpoly(-1, 1)) == 2
-    assert eval_at_one_with_cancellation(lpoly(-1, 1), lpoly(-1, 0, 1)) == Fraction(1, 2)
-    # (L - 1)^2 / (L - 1) leaves one vanishing factor
-    sq = lpoly(-1, 1) * lpoly(-1, 1)
-    assert eval_at_one_with_cancellation(sq, lpoly(-1, 1)) == 0
-
-
-def test_eval_at_one_pole():
-    with pytest.raises(PoleAtOne):
-        eval_at_one_with_cancellation(lpoly(2), lpoly(-1, 1))
-
-
-def test_eval_at_one_laurent_shift_invariance():
-    num, den = lpoly(-1, 0, 1), lpoly(-1, 1)
-    shifted = num.mul_monomial(1, -4, 0)
-    assert eval_at_one_with_cancellation(shifted, den) == 2
 
 
 # ---------------------------------------------------------------------------

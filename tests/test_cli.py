@@ -1,10 +1,17 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from splicezeta import refine
 from splicezeta.cli import main
+from splicezeta.diagram import Arrowhead, Diagram
 from splicezeta.sdio import write_sd, example
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv, capsys=None):
@@ -236,3 +243,30 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli("zeta", "--kind", "top", "-", capsys=capsys)
     assert code == 0
     assert out.strip() == "(4*s + 5) / ((1*s + 1)*(6*s + 5))"
+
+
+def test_cache_contradicting_the_formulas_is_input_error(tmp_path, capsys):
+    # the cache (5, 1) at v contradicts the formulas, which give (3, 3)
+    path = tmp_path / "cooked.sd"
+    path.write_text(write_sd(Diagram(
+        ["v"], [], [Arrowhead("v", 2, 3, 1), Arrowhead("v", 1, 0, 1)],
+        {"v": (5, 1)})))
+    code, out, err = run_cli("zeta", str(path), capsys=capsys)
+    assert code == 2 and out == ""
+    assert "cached (5, 1) != computed (3, 3)" in err
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("argv", [["refine", "-"], ["mult", "--machine", "-"]])
+def test_closed_stdout_is_output_error(argv, unbuffered):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env["PYTHONUNBUFFERED"] = "1" if unbuffered else ""
+    proc = subprocess.Popen([sys.executable, "-m", "splicezeta.cli", *argv],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    # the reader leaves before the command, which waits for stdin, writes
+    proc.stdout.close()
+    _, err = proc.communicate(write_sd(example("nv2")).encode(), timeout=60)
+    assert proc.returncode == 2
+    assert err.decode() == "error: output closed early\n"

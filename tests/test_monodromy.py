@@ -4,7 +4,8 @@ import pytest
 
 from splicezeta.algebra import CycloProduct
 from splicezeta.diagram import Arrowhead, Diagram
-from splicezeta.errors import NoFArrow, NonPolynomialDelta1
+from splicezeta import monodromy
+from splicezeta.errors import CacheMismatch, NoFArrow, NonPolynomialDelta1
 from splicezeta.monodromy import (
     auto_twisted_orders,
     delta0,
@@ -15,9 +16,9 @@ from splicezeta.monodromy import (
     mc_report,
     monodromy_zeta,
 )
-from splicezeta.refine import reduce
+from splicezeta.refine import reduce, refine_all_arrows
 from splicezeta.sdio import builder_cusp, builder_monomial, builder_nv_example2, random_diagram
-from splicezeta.zeta import poles, top_zeta
+from splicezeta.zeta import motivic_zeta, poles, top_zeta
 
 from oracles import expand_cyclo
 
@@ -70,13 +71,17 @@ def test_delta0_gcd():
 
 
 def test_delta1_rejects_inconsistent_cached_diagram():
-    # cooked cache: the refined chain gives zeta = 1/(t^5 - 1) against
-    # Delta_0 = t^3 - 1, which is not a polynomial quotient
+    # the cache (5, 1) contradicts the formulas, which give (3, 3)
     d = Diagram(["v"], [],
                 [Arrowhead("v", 2, 3, 1), Arrowhead("v", 1, 0, 1)],
                 {"v": (5, 1)})
+    for fn in (delta1, eigenvalues, top_zeta, motivic_zeta):
+        with pytest.raises(CacheMismatch):
+            fn(d)
+    # refined without the check, the chain gives zeta = 1/(t^5 - 1) against
+    # Delta_0 = t^3 - 1, which is not a polynomial quotient
     with pytest.raises(NonPolynomialDelta1):
-        delta1(d)
+        monodromy._delta1_refined(refine_all_arrows(d))
 
 
 def test_eigenvalues_cusp():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from splicezeta.algebra import Poly2, RatFuncS
-from splicezeta.diagram import ensure_cached
+from splicezeta.diagram import Arrowhead, Diagram, Edge, ensure_cached
 from splicezeta.errors import PoleAtOne
 from splicezeta.refine import Subdivision, realizable_refine, reduce, refine_edge, smooth_subdivide_minimal
 from splicezeta.diagram import cone_vector, multiplicities, valency
@@ -129,6 +129,53 @@ def test_specialize_chi_top_degenerate_pair():
         specialize_chi_top(bad, 2)
 
 
+def test_specialize_chi_top_surviving_pole():
+    with pytest.raises(PoleAtOne):
+        specialize_chi_top(ZetaExpr.term(Poly2.one(), ((1, 1),)), 1)
+
+
+def test_specialize_chi_top_cancels_within_a_term():
+    # the pair (1, 0) is the factor 1 / (L - 1) for every n
+    l_sq_minus_1 = Poly2({(2, 0): 1, (0, 0): -1})
+    for n in (1, 2, 3):
+        assert specialize_chi_top(ZetaExpr.term(l_sq_minus_1, ((1, 0),)), n) == 2
+        assert specialize_chi_top(ZetaExpr.term(L1SQ, ((1, 0),)), n) == 0
+        assert specialize_chi_top(
+            ZetaExpr.term(Poly2({(1, 0): 1, (0, 0): -1}), ((2, 0),)), n) == Fraction(1, 2)
+
+
+def test_specialize_chi_top_negative_laurent_shift():
+    # L^-4 (L^2 - 1) / (L - 1) and L^-7 (L^2 - 1) / (L^(1 + n) - 1)
+    for n in (1, 2, 3):
+        shifted = Poly2({(-2, 0): 1, (-4, 0): -1})
+        assert specialize_chi_top(ZetaExpr.term(shifted, ((1, 0),)), n) == 2
+        shifted = Poly2({(-5, 0): 1, (-7, 0): -1})
+        assert specialize_chi_top(ZetaExpr.term(shifted, ((1, 1),)), n) == Fraction(2, 1 + n)
+
+
+def test_specialize_chi_top_sum_cancels_to_zero():
+    # 1 / (L - 1) - (L + 1) / (L^2 - 1): both terms have a pole at L = 1
+    z = (ZetaExpr.term(Poly2.one(), ((1, 0),))
+         - ZetaExpr.term(Poly2({(1, 0): 1, (0, 0): 1}), ((2, 0),)))
+    assert z.is_zero()
+    for n in (1, 2, 3):
+        assert specialize_chi_top(z, n) == 0
+
+
+def test_specialize_chi_top_respects_equality():
+    # a factor T^N / (L^nu - T^N) is g(y) = 1 / (y - 1) with y = L^nu T^-N,
+    # and g(a) g(b) = g(ab) (1 + g(a) + g(b)); so z is zero, while its terms
+    # have different T-degrees and poles at L = 1 that cancel only in the sum
+    for a, b in [((1, 1), (2, 1)), ((1, 0), (1, 1)), ((2, 3), (1, 1))]:
+        ab = (a[0] + b[0], a[1] + b[1])
+        one = Poly2.one()
+        z = (ZetaExpr.term(one, (a, b)) - ZetaExpr.term(one, (ab,))
+             - ZetaExpr.term(one, (ab, a)) - ZetaExpr.term(one, (ab, b)))
+        assert z.is_zero()
+        for n in (1, 2, 3):
+            assert specialize_chi_top(z, n) == 0
+
+
 def test_avatar_identity_bundled():
     diagrams = [builder_cusp(0, 0), builder_cusp(4, 5), builder_cusp(2, 4),
                 builder_monomial(2, 3, 1, 1), builder_nv_example2(1, 1, 1, 1)]
@@ -146,6 +193,28 @@ def test_avatar_identity_generated():
         t = top_zeta(d)
         for n in (1, 2, 3):
             assert specialize_chi_top(z, n) == t.evaluate(n)
+
+
+def chain_diagram(k):
+    """Nodes a, b; edge a-b decorated (1, k); arrowheads a:(1,1,1) twice,
+    b:(1,1,1) and b:(1,0,2)."""
+    return Diagram(["a", "b"], [Edge("a", "b", 1, k)],
+                   [Arrowhead("a", 1, 1, 1), Arrowhead("a", 1, 1, 1),
+                    Arrowhead("b", 1, 1, 1), Arrowhead("b", 1, 0, 2)])
+
+
+LARGE = {f"chain{k}": chain_diagram(k) for k in (100, 300)}
+LARGE.update((f"random{seed}-30", reduce(random_diagram(seed, 30)))
+             for seed in range(20))
+
+
+@pytest.mark.parametrize("name", LARGE)
+def test_avatar_identity_large(name):
+    d = LARGE[name]
+    z = motivic_zeta(d)
+    t = top_zeta(d)
+    for n in (1, 2, 3):
+        assert specialize_chi_top(z, n) == t.evaluate(n)
 
 
 def test_refinement_invariance_all_kinds():
