@@ -412,6 +412,108 @@ def _normalize(num, den, scale):
     return RatFuncS(ints, {p: m for p, m in den.items()}.items(), scale)
 
 
+def _partial_fraction_sum(terms):
+    """Sum of chi / prod (N*s + nu) over (chi, pairs) terms, in one pass.
+
+    Each term may have at most two pairs with N != 0.  The result is the
+    representation that adding the terms one at a time with `+` leaves:
+    given the retained factors, num / scale is the value times their
+    product, and `+` retains at each root -nu/N the pairs seen there since
+    the last zero partial sum (largest count of each pair), cut down to the
+    partial sum's pole order by keeping the smallest pairs (see _normalize).
+    So the pass keeps the partial sum's constant and its order-1 and
+    order-2 partial-fraction coefficients per root, with the retained pairs
+    per root, and builds the integer numerator once at the end.
+    """
+    if len(terms) == 1:
+        return RatFuncS.from_term(*terms[0])
+    const = 0
+    coeff = {}  # (root, order) -> nonzero coefficient of 1 / (s - root)^order
+    kept = {}   # root -> {pair: count} retained at that root
+
+    def add(key, c):
+        c += coeff.pop(key, 0)
+        if c:
+            coeff[key] = c
+
+    for chi, pairs in terms:
+        c = Fraction(chi)
+        lin = []
+        for p in pairs:
+            if p == (0, 0):
+                raise ValueError("factor (0, 0)")
+            if p[0]:
+                lin.append(p)
+            else:
+                c /= p[1]
+        if not c:  # `+` returns the running sum unchanged
+            continue
+        if len(lin) > 2:
+            raise ValueError("a term may have at most two factors with N != 0")
+        roots = [Fraction(-nu, n) for n, nu in lin]
+        if not lin:
+            const += c
+        elif len(lin) == 1:
+            add((roots[0], 1), c / lin[0][0])
+        else:
+            (n1, nu1), (n2, nu2) = lin
+            det = n1 * nu2 - n2 * nu1
+            if det:
+                add((roots[0], 1), c / det)
+                add((roots[1], 1), -c / det)
+            else:
+                add((roots[0], 2), c / (n1 * n2))
+        if not coeff and not const:
+            kept.clear()
+            continue
+        for r in set(roots):
+            merged = dict(kept.get(r, ()))
+            for p, rp in zip(lin, roots):
+                if rp == r:
+                    merged[p] = max(merged.get(p, 0), lin.count(p))
+            order = 2 if (r, 2) in coeff else 1 if (r, 1) in coeff else 0
+            kept[r] = retained = {}
+            for p in sorted(merged):
+                if order <= 0:
+                    break
+                retained[p] = min(merged[p], order)
+                order -= retained[p]
+    if not coeff and not const:
+        return RatFuncS.zero()
+    product = [1]
+    for retained in kept.values():
+        for (n, nu), m in retained.items():
+            for _ in range(m):
+                product = _poly_mul(product, [nu, n])
+    scale = lcm(const.denominator, *(c.denominator for c in coeff.values()))
+    num = [const.numerator * (scale // const.denominator) * x for x in product]
+    for r, retained in kept.items():
+        part, lead = product, 1
+        factors = [p for p in sorted(retained) for _ in range(retained[p])]
+        for order, (n, nu) in enumerate(factors, start=1):
+            # product / (s - r)^order, an integer polynomial
+            part, lead = _div_linear(part, n, nu), lead * n
+            c = coeff.get((r, order))
+            if c is not None:
+                k = c.numerator * (scale // c.denominator) * lead
+                for i, x in enumerate(part):
+                    num[i] += k * x
+    num = _poly_trim(num)
+    g = gcd(*num, scale)
+    return RatFuncS([x // g for x in num], [(p, m) for retained in kept.values()
+                                            for p, m in retained.items()], scale // g)
+
+
+def _div_linear(a, n, nu):
+    """a / (n*s + nu) for an integer a that it divides exactly."""
+    out = [0] * (len(a) - 1)
+    rest = a[-1]
+    for i in range(len(a) - 2, -1, -1):
+        out[i] = rest // n
+        rest = a[i] - nu * out[i]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Cyclotomic products prod (t^n - 1)^{e_n}.
 # ---------------------------------------------------------------------------

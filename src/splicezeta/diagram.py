@@ -346,15 +346,22 @@ def multiplicities(d):
     (see side_weights).  Existing caches are verified against the computed
     values.
     """
-    table = side_weights(d)[0]
+    table = _checked_side_weights(d)[0]
     out = MultTable()
     for v in d.nodes:
         out[v] = table[v]
-        cached = d.cache(v)
-        if cached is not None and tuple(cached) != out[v]:
-            raise CacheMismatch(
-                f"node {v}: cached {tuple(cached)} != computed {out[v]}")
     return out
+
+
+def _checked_side_weights(d):
+    """side_weights(d), after checking the caches d carries against it."""
+    table, weights = side_weights(d)
+    for v in d.nodes:
+        cached = d.cache(v)
+        if cached is not None and tuple(cached) != table[v]:
+            raise CacheMismatch(
+                f"node {v}: cached {tuple(cached)} != computed {table[v]}")
+    return table, weights
 
 
 def cached_table(d):
@@ -389,13 +396,15 @@ def arrow_refined_weights(d):
     the far-side weights of plain (see side_weights).
 
     plain is d itself when every arrowhead has decoration 1; otherwise d
-    must be fully cached, and plain carries the interpolated caches.
+    must be fully cached, and plain carries the interpolated caches.  Those
+    are checked against the side weights of plain, with the check that
+    multiplicities (and so realizable_refine) makes.
     """
     if d.has_decorated_arrow():
         from .refine import refine_all_arrows
 
         d = refine_all_arrows(ensure_cached(d))
-    return d, side_weights(d)[1]
+    return d, _checked_side_weights(d)[1]
 
 
 def splice_data(d, e):

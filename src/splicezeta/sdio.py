@@ -215,8 +215,9 @@ def random_diagram(seed, n_moves):
 
 
 def _fresh(d, base):
+    names = set(d.nodes)
     k = 1
-    while f"{base}{k}" in d.nodes:
+    while f"{base}{k}" in names:
         k += 1
     return f"{base}{k}"
 

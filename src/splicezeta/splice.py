@@ -79,17 +79,21 @@ def correction_term_top(m, m_prime, i, i_prime):
 
 def verify_splice_motivic(diagram, edge_key):
     """Exact check of Z(G) = Z(G_L) + Z(G_R) - correction."""
-    r = splice(diagram, edge_key)
-    lhs = motivic_zeta(diagram)
-    rhs = motivic_zeta(r.left) + motivic_zeta(r.right) - correction_term(
-        *r.data.as_tuple())
-    return lhs == rhs
+    return _motivic_identity(motivic_zeta(diagram), splice(diagram, edge_key))
 
 
 def verify_splice_top(diagram, edge_key):
     """Exact check of the topological specialization of the splice identity."""
-    r = splice(diagram, edge_key)
-    lhs = top_zeta(diagram)
-    rhs = top_zeta(r.left) + top_zeta(r.right) - correction_term_top(
+    return _top_identity(top_zeta(diagram), splice(diagram, edge_key))
+
+
+def _motivic_identity(whole, r):
+    """Whether whole, the motivic zeta of the spliced diagram, fits r."""
+    return whole == motivic_zeta(r.left) + motivic_zeta(r.right) - correction_term(
         *r.data.as_tuple())
-    return lhs == rhs
+
+
+def _top_identity(whole, r):
+    """Whether whole, the topological zeta of the spliced diagram, fits r."""
+    return whole == top_zeta(r.left) + top_zeta(r.right) - correction_term_top(
+        *r.data.as_tuple())

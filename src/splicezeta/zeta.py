@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Poly2, RatFuncS
+from .algebra import Poly2, _partial_fraction_sum
 from .diagram import valency
 from .errors import DegenerateDenominator, PoleAtOne
 from .refine import realizable_refine
@@ -201,10 +201,8 @@ def _top_terms(d, order=None):
 
 
 def _sum_terms(terms):
-    acc = RatFuncS.zero()
-    for chi, pairs in terms:
-        acc = acc + RatFuncS.from_term(chi, [(n, nu) for (nu, n) in pairs])
-    return acc
+    return _partial_fraction_sum([(chi, [(n, nu) for (nu, n) in pairs])
+                                  for chi, pairs in terms])
 
 
 def top_zeta(diagram):

@@ -3,7 +3,9 @@
 Nothing in here goes through the package's formulas: multiplicities come
 from explicit blow-up charts or from linking numbers read off tree paths,
 subdivisions from exhaustive search, root orders from expanded polynomials.
-Only the diagram data structure and its edge sides are shared.
+Only the diagram data structure and its edge sides are shared, and
+`fold_sum` adds with the package's own `RatFuncS.__add__`: it is the
+reference for the representation that the one-pass top-zeta sum must keep.
 """
 
 from fractions import Fraction
@@ -11,6 +13,7 @@ from math import gcd, prod
 
 import sympy as sp
 
+from splicezeta.algebra import RatFuncS
 from splicezeta.diagram import Arrowhead, edge_sides
 
 
@@ -147,6 +150,18 @@ def sum_terms_at(terms, s):
         for (n, nu) in pairs:
             val /= n * s + nu
         acc += val
+    return acc
+
+
+def fold_sum(terms):
+    """Sum of chi / prod (N s + nu), adding one term at a time with `+`.
+
+    Every step cancels and normalises the running sum again, so this is
+    cubic in the number of terms; the package sums in one pass instead.
+    """
+    acc = RatFuncS.zero()
+    for chi, pairs in terms:
+        acc = acc + RatFuncS.from_term(chi, pairs)
     return acc
 
 

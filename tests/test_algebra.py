@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 
-from splicezeta.algebra import CycloProduct, Poly2, RatFuncS
+import pytest
 
-from oracles import root_order, sum_terms_at
+from splicezeta.algebra import CycloProduct, Poly2, RatFuncS, _partial_fraction_sum
+
+from oracles import fold_sum, root_order, sum_terms_at
 
 
 def random_poly(rng, size=5):
@@ -102,6 +104,49 @@ def test_ratfunc_random_reexpansion_idempotent():
 def test_ratfunc_negative_nu_rendering():
     r = RatFuncS.from_term(1, [(2, -7)])
     assert str(r) == "1 / (2*s - 7)"
+
+
+def rep(r):
+    return r.num, r.den, r.scale
+
+
+# roots shared by proportional pairs ((1, 2), (2, 4), (3, 6) and two more
+# families), constants (N = 0, also negative), negative nu and N
+PAIR_POOL = [(1, 2), (2, 4), (3, 6), (1, -1), (2, -2), (-1, 1), (2, 3), (4, 6),
+             (1, 1), (2, 1), (3, -4), (1, 0), (5, 7), (0, 3), (0, -2)]
+
+
+def synthetic_terms(rng):
+    terms = []
+    for _ in range(rng.randint(0, 8)):
+        pairs = [rng.choice(PAIR_POOL) for _ in range(rng.randint(0, 2))]
+        terms.append((rng.choice((-2, -1, 0, 1, 1, 2, 3)), pairs))
+    if terms and rng.random() < 0.3:
+        # a prefix that cancels to zero, followed by part of it again
+        terms += [(-chi, pairs) for chi, pairs in terms]
+        terms += terms[:rng.randint(0, len(terms) // 2)]
+    return terms
+
+
+def test_partial_fraction_sum_keeps_the_fold_representation():
+    rng = random.Random(5)
+    zeros = 0
+    for _ in range(2500):
+        terms = synthetic_terms(rng)
+        got = _partial_fraction_sum(terms)
+        assert rep(got) == rep(fold_sum(terms)), terms
+        zeros += got.is_zero()
+    assert zeros > 0
+
+
+def test_partial_fraction_sum_edge_cases():
+    assert rep(_partial_fraction_sum([])) == rep(RatFuncS.zero())
+    one = (3, [(2, 4), (0, -5)])
+    assert rep(_partial_fraction_sum([one])) == rep(RatFuncS.from_term(*one))
+    with pytest.raises(ValueError):
+        _partial_fraction_sum([(1, [(1, 1)]), (0, [(0, 0)])])
+    with pytest.raises(ValueError):
+        _partial_fraction_sum([(1, [(1, 1)]), (1, [(1, 1), (1, 2), (1, 3)])])
 
 
 # ---------------------------------------------------------------------------

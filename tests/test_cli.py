@@ -10,6 +10,7 @@ from splicezeta import refine
 from splicezeta.cli import main
 from splicezeta.diagram import Arrowhead, Diagram
 from splicezeta.sdio import write_sd, example
+from splicezeta.splice import splice
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -72,6 +73,17 @@ def test_commands_refine_their_input_once(monkeypatch, capsys):
         calls.clear()
         assert main(argv) == 0
         assert len(calls) == once, argv
+    # verify-splice refines the whole diagram once and each half once
+    d = example("nv2")
+    calls.clear()
+    for e in d.edges:
+        r = splice(d, (e.u, e.v))
+        refine.realizable_refine(r.left)
+        refine.realizable_refine(r.right)
+    halves = len(calls)
+    calls.clear()
+    assert main(["verify-splice", "example:nv2"]) == 0
+    assert len(calls) == once + halves == 23
     capsys.readouterr()
 
 

@@ -14,6 +14,7 @@ from splicezeta.diagram import (
     validation_warnings,
 )
 from splicezeta.errors import CacheMismatch, DecoratedArrowPresent
+from splicezeta.monodromy import is_allowed
 from splicezeta.refine import det2, reduce
 from splicezeta.sdio import (
     EXAMPLES,
@@ -23,6 +24,8 @@ from splicezeta.sdio import (
     example,
     random_diagram,
 )
+from splicezeta.splice import splice
+from splicezeta.zeta import top_zeta
 
 from oracles import (
     cusp_chart_multiplicities,
@@ -177,6 +180,19 @@ def test_multiplicities_verifies_caches():
     bad = builder_cusp(0, 0).with_caches({"n1": (2, 3)})
     with pytest.raises(CacheMismatch):
         multiplicities(bad)
+
+
+def test_decorated_arrow_refinement_checks_caches():
+    # valid, but the caches contradict the formulas: u has (4, 2), not (5, 1)
+    d = Diagram(["u", "v"], [Edge("u", "v", 1, 3)],
+                [Arrowhead("v", 2, 3, 1), Arrowhead("v", 1, 0, 1),
+                 Arrowhead("u", 1, 1, 1)],
+                {"u": (5, 1), "v": (5, 1)})
+    assert validate(d) == []
+    for call in (lambda: splice_data(d, d.edges[0]), lambda: is_allowed(d),
+                 lambda: splice(d, ("u", "v")), lambda: top_zeta(d)):
+        with pytest.raises(CacheMismatch):
+            call()
 
 
 def test_splice_data_nv2():

@@ -8,9 +8,18 @@ from splicezeta.diagram import Arrowhead, Diagram, Edge, ensure_cached
 from splicezeta.errors import PoleAtOne
 from splicezeta.refine import Subdivision, realizable_refine, reduce, refine_edge, smooth_subdivide_minimal
 from splicezeta.diagram import cone_vector, multiplicities, valency
-from splicezeta.sdio import builder_cusp, builder_monomial, builder_nv_example2, random_diagram
+from splicezeta.sdio import (
+    EXAMPLES,
+    builder_cusp,
+    builder_monomial,
+    builder_nv_example2,
+    example,
+    random_diagram,
+)
+from splicezeta.splice import splice
 from splicezeta.zeta import (
     ZetaExpr,
+    _top_terms,
     candidate_poles_motivic,
     motivic_zeta,
     poles,
@@ -19,7 +28,7 @@ from splicezeta.zeta import (
     twisted_top_zeta,
 )
 
-from oracles import sum_terms_at
+from oracles import fold_sum, sum_terms_at
 
 L1SQ = Poly2({(2, 0): 1, (1, 0): -2, (0, 0): 1})
 
@@ -67,6 +76,22 @@ def test_top_zeta_cusp_against_term_oracle():
     z = top_zeta(builder_cusp(0, 0))
     for s in (0, 1, 2, Fraction(1, 3)):
         assert z.evaluate(s) == sum_terms_at(terms, s)
+
+
+@pytest.mark.parametrize("order", [None, 2, 3, 5])
+def test_top_sum_keeps_the_fold_representation(order):
+    diagrams = [example(name) for name in sorted(EXAMPLES)]
+    diagrams += [reduce(random_diagram(s, m)) for s in range(12) for m in (6, 14, 30)]
+    nv2 = example("nv2")
+    for e in nv2.edges:
+        r = splice(nv2, (e.u, e.v))
+        diagrams += [r.left, r.right]
+    for d in diagrams:
+        terms = [(chi, [(n, nu) for (nu, n) in pairs])
+                 for chi, pairs in _top_terms(realizable_refine(d), order)]
+        z = top_zeta(d) if order is None else twisted_top_zeta(d, order)
+        expected = fold_sum(terms)
+        assert (z.num, z.den, z.scale) == (expected.num, expected.den, expected.scale)
 
 
 def test_top_zeta_monomial_identity():
