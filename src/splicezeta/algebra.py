@@ -47,14 +47,6 @@ class Poly2:
     def lvar(exp=1):
         return Poly2({(exp, 0): 1})
 
-    @staticmethod
-    def binomial_l_minus_t(nu, n):
-        """L^nu - T^n."""
-        d = {(nu, 0): 1}
-        key = (0, n)
-        d[key] = d.get(key, 0) - 1
-        return Poly2(d)
-
     def is_zero(self):
         return not self.terms
 
@@ -106,29 +98,6 @@ class Poly2:
         return p
 
     __rmul__ = __mul__
-
-    def mul_binomial(self, nu, n):
-        """Multiply by (L^nu - T^n) without building the factor."""
-        out = {}
-        for (a, b), c in self.terms.items():
-            k = (a + nu, b)
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            else:
-                del out[k]
-            k = (a, b + n)
-            v = out.get(k, 0) - c
-            if v:
-                out[k] = v
-            else:
-                del out[k]
-        p = Poly2()
-        p.terms = out
-        return p
-
-    def mul_monomial(self, c, el, et):
-        return Poly2({(a + el, b + et): cc * c for (a, b), cc in self.terms.items()})
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)

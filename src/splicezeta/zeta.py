@@ -8,7 +8,9 @@ the punctured exceptional curve and the classical values.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from heapq import heapify, heappop, heapreplace
 
 from .algebra import Poly2, _partial_fraction_sum
 from .diagram import valency
@@ -22,10 +24,11 @@ L_MINUS_1_SQ = L_MINUS_1 * L_MINUS_1
 class ZetaExpr:
     """Finite sum of coeff(L) * prod of T^N / (L^nu - T^N) factors.
 
-    Keys are sorted tuples of (nu, N) pairs; coefficients are integer
-    Laurent polynomials in L.  Equality clears denominators over the union
-    of the pairs of both sides and compares polynomials, so it is exact and
-    independent of how the expression was assembled.
+    Keys are sorted tuples of (nu, N) pairs with N >= 0; coefficients are
+    integer Laurent polynomials in L.  Equality expands the difference of
+    both sides as a power series in T up to a degree bound (see
+    _expansion_vanishes), so it is exact and independent of how the
+    expression was assembled.
     """
 
     __slots__ = ("terms",)
@@ -35,8 +38,8 @@ class ZetaExpr:
         for key, coeff in (terms or {}).items():
             if coeff.is_zero():
                 continue
-            if any(p == (0, 0) for p in key):
-                raise DegenerateDenominator(f"pair (0, 0) in term {key}")
+            if any(p == (0, 0) or p[1] < 0 for p in key):
+                raise DegenerateDenominator(f"pair (0, 0) or with N < 0 in term {key}")
             self.terms[tuple(sorted(key))] = coeff
 
     @staticmethod
@@ -72,45 +75,15 @@ class ZetaExpr:
         """Multiset of pairs: pair -> largest multiplicity in any term."""
         out = {}
         for key in self.terms:
-            counts = {}
-            for p in key:
-                counts[p] = counts.get(p, 0) + 1
-            for p, m in counts.items():
-                out[p] = max(out.get(p, 0), m)
+            for p in set(key):
+                out[p] = max(out.get(p, 0), key.count(p))
         return out
-
-    def cleared_numerator(self):
-        """Numerator over the common denominator prod (L^nu - T^N)^mult.
-
-        The multiset is this expression's own (see pairs), so the expression
-        equals the returned polynomial divided by the product of the
-        denominator binomials.
-        """
-        den = self.pairs()
-        total = Poly2.zero()
-        for key, coeff in self.terms.items():
-            counts = {}
-            t_deg = 0
-            for (nu, n) in key:
-                counts[(nu, n)] = counts.get((nu, n), 0) + 1
-                t_deg += n
-            part = coeff.mul_monomial(1, 0, t_deg)
-            for (nu, n), m in den.items():
-                for _ in range(m - counts.get((nu, n), 0)):
-                    part = part.mul_binomial(nu, n)
-            total = total + part
-        return total
 
     def __eq__(self, other):
         if not isinstance(other, ZetaExpr):
             return NotImplemented
         diff = self - other
-        if not diff.terms:
-            return True
-        return diff.cleared_numerator().is_zero()
-
-    def __hash__(self):
-        raise TypeError("unhashable")
+        return not diff.terms or _expansion_vanishes(diff)
 
     def is_zero(self):
         return self == ZetaExpr.zero()
@@ -144,6 +117,71 @@ class ZetaExpr:
 
     def __repr__(self):
         return f"ZetaExpr({len(self.terms)} terms)"
+
+
+def _expansion_vanishes(z):
+    """Whether z is zero, decided on integers without clearing denominators.
+
+    Multiplying z by (L^nu - 1)^m for its N = 0 pairs (m from pairs())
+    leaves a sum of c(L, T) * prod T^N / (L^nu - T^N) over pairs with
+    N >= 1, and each such factor is sum_{k >= 1} L^(-nu k) T^(N k) in
+    Z[L^+-1][[T]].  Over the common denominator D = prod (L^nu - T^N)^m the
+    numerator has T-degree at most B = sum N m + the largest T-degree of a
+    coefficient, and D is a unit (its T^0 coefficient is a power of L).  So
+    z is zero exactly when its expansion vanishes up to T^B.  The degrees
+    are walked in increasing windows of about _WINDOW_KEYS monomials, which
+    bounds the memory, and a nonzero z stops at the window of its lowest term.
+    """
+    mult = z.pairs()
+    cones = defaultdict(lambda: defaultdict(int))  # apex -> L-exponent -> coeff
+    top = 0
+    for key, coeff in z.terms.items():
+        for (nu, n), m in mult.items():
+            for _ in range(0 if n else m - key.count((nu, n))):
+                coeff = coeff * Poly2({(nu, 0): 1, (0, 0): -1})
+        steps = tuple(sorted((p for p in key if p[1]), key=lambda p: -p[1]))
+        for (a, b), c in coeff.terms.items():
+            cones[b + sum(n for _, n in steps), steps][a - sum(nu for nu, _ in steps)] += c
+            top = max(top, b)
+    bound = top + sum(n * m for (_, n), m in mult.items())
+    # L^l T^t is the key t * K + l, one-to-one while |l| < K / 2: a point
+    # of a cone is at most bound - lo steps away from its apex (lo, l)
+    lo = min((t for t, _ in cones), default=0)
+    K = 3 + 2 * max((abs(l) + (bound - lo) * sum(abs(nu) for nu, _ in steps)
+                     for (_, steps), mons in cones.items() for l in mons), default=0)
+    rows = []   # (T-degree of its next point, key of that point, walk id)
+    walks = []  # walk id -> (T-step of its rows, key step, monomials)
+    for (t0, steps), mons in cones.items():
+        corners = [(t0, t0 * K)]
+        for nu, n in steps[:-1]:
+            corners = [(t + n * k, x + (n * K - nu) * k) for t, x in corners
+                       for k in range((bound - t) // n + 1)]
+        nu, n = steps[-1] if steps else (0, bound + 1)  # no steps: one point
+        rows += [(t, x, len(walks)) for t, x in corners]
+        walks.append((n, n * K - nu, [(l, c) for l, c in mons.items() if c]))
+    heapify(rows)
+    width = 1
+    while rows and rows[0][0] <= bound:
+        hi = min(rows[0][0] + width, bound + 1)
+        acc = defaultdict(int)
+        while rows and rows[0][0] < hi:
+            t, x, i = rows[0]
+            n, step, mons = walks[i]
+            k = (hi - 1 - t) // n + 1
+            for key in range(x, x + k * step, step):
+                for l, c in mons:
+                    acc[key + l] += c
+            if t + k * n <= bound:
+                heapreplace(rows, (t + k * n, x + k * step, i))
+            else:
+                heappop(rows)
+        if any(acc.values()):
+            return False
+        width = max(1, min(2 * width, width * _WINDOW_KEYS // max(1, len(acc))))
+    return True
+
+
+_WINDOW_KEYS = 1 << 13
 
 
 def _strata(d):

@@ -3,9 +3,11 @@
 Nothing in here goes through the package's formulas: multiplicities come
 from explicit blow-up charts or from linking numbers read off tree paths,
 subdivisions from exhaustive search, root orders from expanded polynomials.
-Only the diagram data structure and its edge sides are shared, and
-`fold_sum` adds with the package's own `RatFuncS.__add__`: it is the
-reference for the representation that the one-pass top-zeta sum must keep.
+Only the diagram data structure and its edge sides are shared, and two
+references reuse the package's algebra: `fold_sum` adds with
+`RatFuncS.__add__`, the representation the one-pass top-zeta sum must keep,
+and `cleared_numerator` clears the denominators of a `ZetaExpr` with
+`Poly2` products, the verdict the T-adic equality test must match.
 """
 
 from fractions import Fraction
@@ -13,7 +15,7 @@ from math import gcd, prod
 
 import sympy as sp
 
-from splicezeta.algebra import RatFuncS
+from splicezeta.algebra import Poly2, RatFuncS
 from splicezeta.diagram import Arrowhead, edge_sides
 
 
@@ -163,6 +165,43 @@ def fold_sum(terms):
     for chi, pairs in terms:
         acc = acc + RatFuncS.from_term(chi, pairs)
     return acc
+
+
+# ---------------------------------------------------------------------------
+# Clearing the denominators of a motivic zeta expression.
+# ---------------------------------------------------------------------------
+
+def binomial_l_minus_t(nu, n):
+    """L^nu - T^n."""
+    return Poly2({(nu, 0): 1}) - Poly2({(0, n): 1})
+
+
+def mul_binomial(p, nu, n):
+    """p * (L^nu - T^n) without building the factor."""
+    out = {}
+    for (a, b), c in p.terms.items():
+        for k, v in (((a + nu, b), c), ((a, b + n), -c)):
+            out[k] = out.get(k, 0) + v
+    return Poly2(out)
+
+
+def cleared_numerator(z):
+    """Numerator of the ZetaExpr z over prod (L^nu - T^N)^mult.
+
+    The multiset is z.pairs(), so z equals the returned polynomial divided
+    by the product of the denominator binomials, and z is zero exactly when
+    the polynomial is.  The cost grows with the product of all binomials.
+    """
+    den = z.pairs()
+    total = Poly2.zero()
+    for key, coeff in z.terms.items():
+        t_deg = sum(n for (_, n) in key)
+        part = Poly2({(a, b + t_deg): c for (a, b), c in coeff.terms.items()})
+        for (nu, n), m in den.items():
+            for _ in range(m - key.count((nu, n))):
+                part = mul_binomial(part, nu, n)
+        total = total + part
+    return total
 
 
 # ---------------------------------------------------------------------------

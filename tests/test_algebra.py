@@ -5,7 +5,7 @@ import pytest
 
 from splicezeta.algebra import CycloProduct, Poly2, RatFuncS, _partial_fraction_sum
 
-from oracles import fold_sum, root_order, sum_terms_at
+from oracles import binomial_l_minus_t, fold_sum, mul_binomial, root_order, sum_terms_at
 
 
 def random_poly(rng, size=5):
@@ -30,7 +30,7 @@ def test_poly2_mul_binomial_matches_mul():
     for _ in range(40):
         p = random_poly(rng)
         nu, n = rng.randint(-3, 4), rng.randint(0, 4)
-        assert p.mul_binomial(nu, n) == p * Poly2.binomial_l_minus_t(nu, n)
+        assert mul_binomial(p, nu, n) == p * binomial_l_minus_t(nu, n)
 
 
 def test_poly2_render_is_sorted_and_stable():

@@ -1,4 +1,5 @@
 import random
+import signal
 
 import pytest
 
@@ -106,3 +107,30 @@ def test_verify_splice_generated():
             # degenerate side weights (M, i) = (0, 0) cannot be spliced
             continue
         checked += 1
+
+
+class OverBudget(Exception):
+    pass
+
+
+def test_decorated_64_edge_identity_within_cpu_budget():
+    # edge b6-b7 is decorated 64: its residual has 130 terms over 66 pairs
+    # (sum of N 14820), so clearing denominators takes over 60 CPU s
+    d = reduce(random_diagram(253628831, 14))
+    r = splice(d, ("b6", "b7"))
+    correction = correction_term(*r.data.as_tuple())
+
+    def over(signum, frame):
+        raise OverBudget("over 10 s of process CPU time")
+
+    previous = signal.signal(signal.SIGPROF, over)
+    signal.setitimer(signal.ITIMER_PROF, 10.0)
+    try:
+        assert verify_splice_motivic(d, ("b6", "b7"))
+        residual = motivic_zeta(d) - (motivic_zeta(r.left) + motivic_zeta(r.right)
+                                      - correction)
+        assert residual == ZetaExpr.zero()
+        assert residual + correction != ZetaExpr.zero()
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)

@@ -5,7 +5,7 @@ import pytest
 
 from splicezeta.algebra import Poly2, RatFuncS
 from splicezeta.diagram import Arrowhead, Diagram, Edge, ensure_cached
-from splicezeta.errors import PoleAtOne
+from splicezeta.errors import DegenerateDenominator, PoleAtOne
 from splicezeta.refine import Subdivision, realizable_refine, reduce, refine_edge, smooth_subdivide_minimal
 from splicezeta.diagram import cone_vector, multiplicities, valency
 from splicezeta.sdio import (
@@ -16,7 +16,7 @@ from splicezeta.sdio import (
     example,
     random_diagram,
 )
-from splicezeta.splice import splice
+from splicezeta.splice import correction_term, splice
 from splicezeta.zeta import (
     ZetaExpr,
     _top_terms,
@@ -28,7 +28,7 @@ from splicezeta.zeta import (
     twisted_top_zeta,
 )
 
-from oracles import fold_sum, sum_terms_at
+from oracles import cleared_numerator, fold_sum, sum_terms_at
 
 L1SQ = Poly2({(2, 0): 1, (1, 0): -2, (0, 0): 1})
 
@@ -267,11 +267,90 @@ def test_zeta_expr_equality_consistency():
         assert a + b == b + a
         assert (a + b) - b == a
         assert a == a
-    # cleared-denominator check across different assemblies
+    # equality across different assemblies
     x = ZetaExpr.term(Poly2.one(), ((1, 1), (1, 1)))
     y = ZetaExpr.term(Poly2.one(), ((1, 1),))
     assert x + y != y
     assert (x + y) - x == y
+
+
+def test_zeta_expr_rejects_negative_n():
+    # equality expands in nonnegative powers of T
+    with pytest.raises(DegenerateDenominator):
+        ZetaExpr.term(Poly2.one(), ((1, -1),))
+    with pytest.raises(DegenerateDenominator):
+        ZetaExpr({((2, 1), (3, -2)): Poly2.one()})
+
+
+def test_equality_agrees_with_clearing_on_splice_residuals():
+    rng = random.Random(43)
+    checked = {6: 0, 14: 0}
+    for m in checked:
+        for seed in range(30):
+            d = reduce(random_diagram(seed, m))
+            whole = motivic_zeta(d)
+            for e in d.edges:
+                r = splice(d, (e.u, e.v))
+                rhs = (motivic_zeta(r.left) + motivic_zeta(r.right)
+                       - correction_term(*r.data.as_tuple()))
+                if sum(abs(nu) * k for (nu, _), k in (whole - rhs).pairs().items()) > 150:
+                    continue  # too large to clear
+                assert whole == rhs
+                assert cleared_numerator(whole - rhs).is_zero()
+                pair = rng.choice(sorted(whole.pairs()))
+                bumped = rhs + ZetaExpr.term(Poly2.lvar(rng.randint(-1, 2)), (pair,))
+                assert whole != bumped
+                assert not cleared_numerator(whole - bumped).is_zero()
+                checked[m] += 1
+    assert min(checked.values()) >= 50
+
+
+# N = 0 pairs, nu <= 0, and pairs that repeat within a term
+EQ_PAIRS = [(1, 1), (2, 1), (1, 2), (3, 2), (5, 3), (0, 1), (-1, 2), (-2, 1),
+            (1, 0), (2, 0), (-1, 0)]
+
+
+def random_coeff(rng):
+    """A Laurent polynomial in L that may carry powers of T."""
+    return Poly2({(rng.randint(-2, 3), rng.randint(0, 2)): rng.choice((-2, -1, 1, 3))
+                  for _ in range(rng.randint(1, 3))})
+
+
+def random_zeta_expr(rng):
+    z = ZetaExpr.zero()
+    for _ in range(rng.randint(0, 5)):
+        pairs = [rng.choice(EQ_PAIRS) for _ in range(rng.randint(0, 3))]
+        z = z + ZetaExpr.term(random_coeff(rng), pairs)
+    return z
+
+
+def zero_identity(rng):
+    """c * (g(a) g(b) - g(ab) (1 + g(a) + g(b))), which is zero, where g is
+    the factor T^N / (L^nu - T^N) of a pair, i.e. 1 / (y - 1), y = L^nu T^-N."""
+    a, b = rng.choice(EQ_PAIRS), rng.choice(EQ_PAIRS)
+    ab = (a[0] + b[0], a[1] + b[1])
+    if ab == (0, 0):
+        return ZetaExpr.zero()
+    c = random_coeff(rng)
+    return (ZetaExpr.term(c, (a, b)) - ZetaExpr.term(c, (ab,))
+            - ZetaExpr.term(c, (ab, a)) - ZetaExpr.term(c, (ab, b)))
+
+
+def test_equality_agrees_with_clearing_on_synthetic_sums():
+    rng = random.Random(47)
+    zeros = 0
+    for _ in range(600):
+        x = random_zeta_expr(rng)
+        if rng.random() < 0.5:
+            y = x + zero_identity(rng) + zero_identity(rng)
+        else:
+            y = random_zeta_expr(rng)
+        if rng.random() < 0.3:
+            y = y + ZetaExpr.term(random_coeff(rng), [rng.choice(EQ_PAIRS)])
+        expect = cleared_numerator(x - y).is_zero()
+        assert (x == y) == expect, (x, y)
+        zeros += expect
+    assert 100 <= zeros <= 500
 
 
 def test_zeta_expr_render():
