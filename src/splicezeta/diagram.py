@@ -17,6 +17,7 @@ from math import gcd, prod
 from .errors import (
     CacheMismatch,
     DecoratedArrowPresent,
+    DegenerateDenominator,
     MissingCache,
     ValidationError,
 )
@@ -73,6 +74,13 @@ class Diagram:
                 adj[e.u].append(e)
                 adj[e.v].append(e)
         self._adj = adj
+
+    @classmethod
+    def _assemble(cls, nodes, edges, arrows, caches, adj):
+        """A diagram sharing already sorted parts and their adjacency."""
+        d = cls.__new__(cls)
+        d.nodes, d.edges, d.arrows, d.caches, d._adj = nodes, edges, arrows, caches, adj
+        return d
 
     # -- structure queries -------------------------------------------------
 
@@ -142,7 +150,7 @@ class MultTable(dict):
 
     def __setitem__(self, k, v):
         if tuple(v) == (0, 0):
-            raise ValueError(f"(N, nu) = (0, 0) at node {k}")
+            raise DegenerateDenominator(f"(N, nu) = (0, 0) at node {k}")
         super().__setitem__(k, tuple(v))
 
 

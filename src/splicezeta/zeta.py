@@ -8,12 +8,11 @@ the punctured exceptional curve and the classical values.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heapreplace
 
 from .algebra import Poly2, _partial_fraction_sum
-from .diagram import valency
 from .errors import DegenerateDenominator, PoleAtOne
 from .refine import realizable_refine
 
@@ -190,7 +189,8 @@ def _strata(d):
     for v, (n, nu) in table.items():
         if (n, nu) == (0, 0):
             raise DegenerateDenominator(f"node {v} has (N, nu) = (0, 0)")
-    nodes = [( (table[v][1], table[v][0]), valency(d, v, "full")) for v in d.nodes]
+    at = Counter(a.node for a in d.arrows)
+    nodes = [((table[v][1], table[v][0]), len(d.node_edges(v)) + at[v]) for v in d.nodes]
     edges = [((table[e.u][1], table[e.u][0]), (table[e.v][1], table[e.v][0]))
              for e in d.edges]
     arrows = []
@@ -221,21 +221,12 @@ def _top_terms(d, order=None):
     if order is not None and order < 1:
         raise ValueError("order must be a positive integer")
     nodes, edges, arrows = _strata(d)
-
-    def ok(*pairs):
-        return order is None or all(n % order == 0 for (_, n) in pairs)
-
-    terms = []
-    for pair, delta in nodes:
-        if ok(pair) and delta != 2:
-            terms.append((2 - delta, (pair,)))
-    for pu, pv in edges:
-        if ok(pu, pv):
-            terms.append((1, (pu, pv)))
-    for pv, pa in arrows:
-        if ok(pv, pa):
-            terms.append((1, (pv, pa)))
-    return terms
+    if order is not None:
+        nodes = [(pair, delta) for pair, delta in nodes if pair[1] % order == 0]
+        edges = [(p, q) for p, q in edges if not (p[1] % order or q[1] % order)]
+        arrows = [(p, q) for p, q in arrows if not (p[1] % order or q[1] % order)]
+    terms = [(2 - delta, (pair,)) for pair, delta in nodes if delta != 2]
+    return terms + [(1, pairs) for pairs in edges + arrows]
 
 
 def _sum_terms(terms):

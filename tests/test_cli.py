@@ -10,7 +10,7 @@ from splicezeta import refine
 from splicezeta.cli import main
 from splicezeta.diagram import Arrowhead, Diagram
 from splicezeta.sdio import write_sd, example
-from splicezeta.splice import splice
+from splicezeta.splice import splice, verify_splice_motivic, verify_splice_top
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -59,31 +59,50 @@ def test_mc_check_twisted_orders_must_be_positive(capsys):
 
 
 def test_commands_refine_their_input_once(monkeypatch, capsys):
+    # every chain that refine_edge, refine_arrow or realizable_refine
+    # inserts goes through refine._chain; each measured call starts on an
+    # empty plan memo, so a count is the number of chains a cold run inserts
     calls = []
-    for name in ("refine_edge", "refine_arrow"):
-        def counted(*args, _original=getattr(refine, name), **kwargs):
-            calls.append(1)
-            return _original(*args, **kwargs)
-        monkeypatch.setattr(refine, name, counted)
+
+    def counted(*args, _original=refine._chain, **kwargs):
+        calls.append(1)
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(refine, "_chain", counted)
+
+    def cold():
+        calls.clear()
+        refine._plans.clear()
+
+    cold()
     refine.realizable_refine(example("nv2"))
     once = len(calls)
     assert once > 0
     for argv in (["monodromy", "example:nv2"],
                  ["mc-check", "--twisted-orders", "auto", "example:nv2"]):
-        calls.clear()
+        cold()
         assert main(argv) == 0
         assert len(calls) == once, argv
-    # verify-splice refines the whole diagram once and each half once
+    # verify-splice refines the whole diagram once and each half once; the
+    # three halves that keep the whole skeleton replay its plan
     d = example("nv2")
+    cold()
+    refine.realizable_refine(d)
     calls.clear()
     for e in d.edges:
         r = splice(d, (e.u, e.v))
         refine.realizable_refine(r.left)
         refine.realizable_refine(r.right)
     halves = len(calls)
-    calls.clear()
+    cold()
     assert main(["verify-splice", "example:nv2"]) == 0
-    assert len(calls) == once + halves == 23
+    assert len(calls) == once + halves == 14
+    # the library checks both identities along every edge
+    cold()
+    for e in d.edges:
+        assert verify_splice_motivic(d, (e.u, e.v))
+        assert verify_splice_top(d, (e.u, e.v))
+    assert len(calls) == 14
     capsys.readouterr()
 
 
@@ -255,6 +274,31 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli("zeta", "--kind", "top", "-", capsys=capsys)
     assert code == 0
     assert out.strip() == "(4*s + 5) / ((1*s + 1)*(6*s + 5))"
+
+
+# a valid diagram whose one node gets (N, nu) = (0, 0): the form arrowheads'
+# nu - 1 = 0 and -2 cancel the node's valency defect 2
+ZERO_PAIR = "node a\narrow a 1 0 1\narrow a 1 0 -1\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["validate"], 0), (["mult"], 2), (["refine"], 2), (["reduce"], 0),
+    (["zeta", "--kind", "top"], 2), (["zeta", "--kind", "motivic"], 2),
+    (["zeta", "--kind", "twisted", "--order", "2"], 2),
+    (["splice", "--edge", "a", "a"], 2), (["verify-splice"], 0),
+    (["monodromy"], 2), (["allowed"], 0),
+    (["mc-check", "--twisted-orders", "auto"], 2),
+])
+@pytest.mark.parametrize("machine", [False, True])
+def test_zero_pair_node_is_input_error(argv, code, machine, tmp_path, capsys):
+    path = tmp_path / "zero.sd"
+    path.write_text(ZERO_PAIR)
+    got, _, err = run_cli(*argv, *(["--machine"] if machine else []), str(path),
+                          capsys=capsys)
+    assert got == code
+    assert "Traceback" not in err
+    if code == 2:
+        assert err == "error: (N, nu) = (0, 0) at node a\n"
 
 
 def test_cache_contradicting_the_formulas_is_input_error(tmp_path, capsys):

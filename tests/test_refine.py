@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from splicezeta import refine
 from splicezeta.diagram import (
     Arrowhead,
     Diagram,
@@ -11,10 +12,13 @@ from splicezeta.diagram import (
     validate,
 )
 from splicezeta.errors import (
+    CacheMismatch,
+    DegenerateDenominator,
     MissingCache,
     NegativeDeterminant,
     NonIntegralInterpolation,
     NonPrimitiveInput,
+    SpliceZetaError,
 )
 from splicezeta.refine import (
     Subdivision,
@@ -29,12 +33,17 @@ from splicezeta.refine import (
     smooth_subdivide_minimal,
 )
 from splicezeta.sdio import (
+    EXAMPLES,
     builder_cusp,
     builder_monomial,
     builder_nv_example2,
     builder_xy2_chain,
+    example,
+    parse_sd,
     random_diagram,
+    write_sd,
 )
+from splicezeta.splice import splice
 
 from oracles import brute_minimal_chains, toric_values
 
@@ -212,10 +221,7 @@ def test_reduce_xy2_chain_roundtrip():
 
 def test_isomorphic_on_long_chain_refinement():
     # one edge whose cone refines into a chain of 1500 nodes
-    chain = Diagram(
-        ["a", "b"], [Edge("a", "b", 1, 1500)],
-        [Arrowhead("a", 1, 1, 1), Arrowhead("a", 1, 1, 1),
-         Arrowhead("b", 1, 1, 1), Arrowhead("b", 1, 0, 2)])
+    chain = _long_chain(1500)
     refined = realizable_refine(chain)
     assert len(refined.nodes) == 1500
     name = {v: f"x{k}" for k, v in enumerate(reversed(refined.nodes))}
@@ -244,3 +250,136 @@ def test_canonical_form_detects_renaming():
     assert isomorphic(d1, text_renamed)
     assert canonical_form(d1) == canonical_form(text_renamed)
     assert not isomorphic(d1, builder_cusp(5, 4))
+
+
+# ---------------------------------------------------------------------------
+# The refinement-plan memo behind realizable_refine.
+# ---------------------------------------------------------------------------
+
+
+def _long_chain(k, form_nu=2):
+    return Diagram(["a", "b"], [Edge("a", "b", 1, k)],
+                   [Arrowhead("a", 1, 1, 1), Arrowhead("a", 1, 1, 1),
+                    Arrowhead("b", 1, 1, 1), Arrowhead("b", 1, 0, form_nu)])
+
+
+def _memo_corpus():
+    for name in EXAMPLES:
+        yield example(name)
+    for s in range(12):
+        for m in (6, 14):
+            yield random_diagram(s, m)
+            yield reduce(random_diagram(s, m))
+    for k in (7, 30, 301):
+        yield _long_chain(k)
+    for s in range(6):
+        d = reduce(random_diagram(s, 14))
+        for e in d.edges:
+            r = splice(d, (e.u, e.v))
+            yield r.left
+            yield r.right
+
+
+def _cold(d):
+    refine._plans.clear()
+    return realizable_refine(d)
+
+
+def _sibling(d):
+    """Unequal to d, with the same skeleton and the same refinement caches."""
+    if d.caches:
+        return Diagram(d.nodes, d.edges, d.arrows,
+                       {v: list(c) for v, c in d.caches.items()})
+    return ensure_cached(d)
+
+
+def _count_chains(monkeypatch):
+    calls = []
+
+    def counted(*args, _original=refine._chain, **kwargs):
+        calls.append(1)
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(refine, "_chain", counted)
+    return calls
+
+
+def test_plan_hit_equals_cold_miss(monkeypatch):
+    diagrams = list(_memo_corpus())
+    assert sum(d.has_decorated_arrow() for d in diagrams) > 15
+    chains = _count_chains(monkeypatch)
+    for d in diagrams:
+        cold = _cold(d)
+        compiled = len(chains)
+        realizable_refine(_sibling(d))
+        hit = realizable_refine(d)
+        assert len(chains) == compiled
+        assert hit == cold
+        assert write_sd(hit) == write_sd(cold)
+        assert realizable_refine(d) is hit
+
+
+def test_plan_replays_other_arrow_pairs(monkeypatch):
+    grid = [(i1, i2, i3, k) for i1 in (1, 4) for i2 in (2, 5) for i3 in (1, 9)
+            for k in (1, 3, 7)]
+    colds = [_cold(builder_nv_example2(*t)) for t in grid]
+    chains = [_long_chain(30, nu) for nu in (-3, 1, 2, 5)]
+    chain_colds = [_cold(d) for d in chains]
+    refine._plans.clear()
+    realizable_refine(builder_nv_example2(1, 1, 1, 1))
+    realizable_refine(_long_chain(30, 7))
+    inserted = _count_chains(monkeypatch)
+    for t, cold in zip(grid, colds):
+        hit = realizable_refine(builder_nv_example2(*t))
+        assert hit == cold and write_sd(hit) == write_sd(cold)
+    for d, cold in zip(chains, chain_colds):
+        assert realizable_refine(d) == cold
+    assert not inserted
+    assert len(refine._plans) == 2
+
+
+def _raises_alike(bad, good):
+    """The error of refining bad on a cold memo, which a plan hit repeats."""
+    refine._plans.clear()
+    with pytest.raises(SpliceZetaError) as miss:
+        realizable_refine(bad)
+    realizable_refine(good)
+    for _ in range(2):
+        with pytest.raises(SpliceZetaError) as hit:
+            realizable_refine(bad)
+        assert type(hit.value) is type(miss.value)
+        assert str(hit.value) == str(miss.value)
+    return miss.value
+
+
+def test_plan_hit_raises_what_a_miss_raises():
+    # the cache (5, 1) contradicts the formulas, which give (3, 3)
+    cooked = Diagram(["v"], [], [Arrowhead("v", 2, 3, 1), Arrowhead("v", 1, 0, 1)],
+                     {"v": (5, 1)})
+    assert isinstance(_raises_alike(cooked, cooked.with_caches({"v": (3, 3)})),
+                      CacheMismatch)
+    r = splice(example("nv2"), ("n3", "n4"))
+    half = r.left if r.left.has_decorated_arrow() else r.right
+    assert half.has_decorated_arrow()
+    uncached = Diagram(half.nodes, half.edges, half.arrows,
+                       {v: c for v, c in half.caches.items() if v != "n4"})
+    assert isinstance(_raises_alike(uncached, half), MissingCache)
+    zero = parse_sd("node a\narrow a 1 0 1\narrow a 1 0 -1\n")
+    other = parse_sd("node a\narrow a 1 0 2\narrow a 1 0 -1\n")
+    assert isinstance(_raises_alike(zero, other), DegenerateDenominator)
+    bad = builder_nv_example2(1, 1, 1, 1)
+    bad = bad.with_caches({v: (1, 1) for v in bad.nodes})
+    assert isinstance(_raises_alike(bad, builder_nv_example2(1, 1, 1, 1)),
+                      CacheMismatch)
+
+
+def test_plan_memo_is_bounded():
+    refine._plans.clear()
+    first = _long_chain(2)
+    realizable_refine(first)
+    for k in range(3, refine._PLAN_BOUND + 12):
+        realizable_refine(_long_chain(k))
+        assert len(refine._plans) <= refine._PLAN_BOUND
+    assert len(refine._plans) == refine._PLAN_BOUND
+    # the oldest skeleton was dropped, and refines as before
+    assert realizable_refine(first) == _cold(first)
