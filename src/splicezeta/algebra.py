@@ -151,11 +151,6 @@ def _poly_trim(coeffs):
     return coeffs
 
 
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    return _poly_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
-
-
 def _poly_mul(a, b):
     if not a or not b:
         return []
@@ -168,31 +163,11 @@ def _poly_mul(a, b):
     return _poly_trim(out)
 
 
-def _poly_scale(a, c):
-    if c == 0:
-        return []
-    return [x * c for x in a]
-
-
 def _poly_eval(a, x):
     acc = Fraction(0)
     for c in reversed(a):
         acc = acc * x + c
     return acc
-
-
-def _poly_div_linear(a, n, nu):
-    """Exact division of a by (n*s + nu); coefficients may become Fractions."""
-    root = Fraction(-nu, n)
-    out = [Fraction(0)] * (len(a) - 1)
-    carry = Fraction(0)
-    for k in range(len(a) - 1, 0, -1):
-        carry = carry + a[k]
-        out[k - 1] = carry
-        carry = carry * root
-    if carry + a[0] != 0:
-        raise ValueError("not divisible")
-    return _poly_trim([c / n for c in out])
 
 
 class RatFuncS:
@@ -219,12 +194,20 @@ class RatFuncS:
     @staticmethod
     def from_term(chi, pairs):
         """chi / prod (N*s + nu) for integer chi and (N, nu) pairs."""
-        den = {}
+        den, scale = {}, 1
         for p in pairs:
             if p == (0, 0):
                 raise ValueError("factor (0, 0)")
-            den[p] = den.get(p, 0) + 1
-        return _normalize([Fraction(chi)], den, 1)
+            if p[0]:
+                den[p] = den.get(p, 0) + 1
+            else:
+                scale *= p[1]
+        if not chi:
+            return RatFuncS.zero()
+        if scale < 0:
+            chi, scale = -chi, -scale
+        g = gcd(chi, scale)
+        return RatFuncS([chi // g], den.items(), scale // g)
 
     def is_zero(self):
         return not self.num
@@ -232,36 +215,19 @@ class RatFuncS:
     def degree(self):
         return len(self.num) - 1
 
-    def __neg__(self):
-        return RatFuncS(tuple(-c for c in self.num), self.den, self.scale)
-
-    def __add__(self, other):
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        da, db = dict(self.den), dict(other.den)
-        union = {p: max(da.get(p, 0), db.get(p, 0)) for p in set(da) | set(db)}
-        sc = lcm(self.scale, other.scale)
-        na = [Fraction(c) for c in self.num] or [Fraction(0)]
-        nb = [Fraction(c) for c in other.num] or [Fraction(0)]
-        na = _poly_scale(na, Fraction(sc, self.scale))
-        nb = _poly_scale(nb, Fraction(sc, other.scale))
-        for p, m in union.items():
-            f = [p[1], p[0]]  # nu + N*s
-            for _ in range(m - da.get(p, 0)):
-                na = _poly_mul(na, f)
-            for _ in range(m - db.get(p, 0)):
-                nb = _poly_mul(nb, f)
-        return _normalize(_poly_add(na, nb), union, sc)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __eq__(self, other):
         if not isinstance(other, RatFuncS):
             return NotImplemented
-        return (self - other).is_zero()
+
+        def cross(a, b):
+            """a.num * b.scale * prod b.den, an integer polynomial."""
+            out = _poly_trim(c * b.scale for c in a.num)
+            for (n, nu), m in b.den:
+                for _ in range(m):
+                    out = _poly_mul(out, [nu, n])
+            return out
+
+        return cross(self, other) == cross(other, self)
 
     def __hash__(self):
         raise TypeError("unhashable")
@@ -343,101 +309,84 @@ class RatFuncS:
         return f"RatFuncS({self})"
 
 
-def _normalize(num, den, scale):
-    """Cancel shared roots, fold constants, restore integer coefficients."""
-    num = _poly_trim(num)
-    if not num:
-        return RatFuncS.zero()
-    den = {p: m for p, m in den.items() if m > 0}
-    # cancel proportional factors largest first, so the primitive ones survive
-    for p in sorted(den, reverse=True):
-        n, nu = p
-        if n == 0:
-            continue
-        root = Fraction(-nu, n)
-        while den.get(p, 0) > 0 and _poly_eval(num, root) == 0:
-            num = _poly_div_linear(num, n, nu)
-            den[p] -= 1
-        if den.get(p) == 0:
-            del den[p]
-    sign = 1
-    for p in list(den):
-        n, nu = p
-        if n == 0:
-            m = den.pop(p)
-            scale *= nu ** m
-    if scale < 0:
-        sign = -1
-        scale = -scale
-    mult = lcm(*(c.denominator for c in num)) if num else 1
-    ints = [int(c * mult) for c in num]
-    scale *= mult
-    g = gcd(*(abs(c) for c in ints), scale)
-    if g > 1:
-        ints = [c // g for c in ints]
-        scale //= g
-    if sign < 0:
-        ints = [-c for c in ints]
-    return RatFuncS(ints, {p: m for p, m in den.items()}.items(), scale)
+def _term_fractions(chi, pairs):
+    """The (pair, root) of each factor with N != 0 of chi / prod (N*s + nu),
+    and the term's partial fractions.
+
+    The partial fractions are ((root, order), c) for c / (s - root)^order,
+    with the key (0, 0) for the constant; a zero term has none.  A nonzero
+    term may have at most two factors with N != 0.
+    """
+    c = Fraction(chi)
+    lin = []
+    for p in pairs:
+        if p == (0, 0):
+            raise ValueError("factor (0, 0)")
+        if p[0]:
+            lin.append(p)
+        else:
+            c /= p[1]
+    if not c:
+        return [], []
+    if len(lin) > 2:
+        raise ValueError("a term may have at most two factors with N != 0")
+    factors = [(p, Fraction(-p[1], p[0])) for p in lin]
+    if not lin:
+        return factors, [((0, 0), c)]
+    if len(lin) == 1:
+        return factors, [((factors[0][1], 1), c / lin[0][0])]
+    (n1, nu1), (n2, nu2) = lin
+    det = n1 * nu2 - n2 * nu1
+    if det:
+        return factors, [((factors[0][1], 1), c / det), ((factors[1][1], 1), -c / det)]
+    return factors, [((factors[0][1], 2), c / (n1 * n2))]
+
+
+def _partial_fractions_vanish(terms):
+    """Whether the sum of chi / prod (N*s + nu) over (chi, pairs) terms is 0.
+
+    Partial fractions are unique, so the sum is zero exactly when its
+    constant and every (root, order) coefficient cancel.
+    """
+    coeff = {}
+    for chi, pairs in terms:
+        for key, c in _term_fractions(chi, pairs)[1]:
+            coeff[key] = coeff.get(key, 0) + c
+    return not any(coeff.values())
 
 
 def _partial_fraction_sum(terms):
     """Sum of chi / prod (N*s + nu) over (chi, pairs) terms, in one pass.
 
     Each term may have at most two pairs with N != 0.  The result is the
-    representation that adding the terms one at a time with `+` leaves:
-    given the retained factors, num / scale is the value times their
-    product, and `+` retains at each root -nu/N the pairs seen there since
-    the last zero partial sum (largest count of each pair), cut down to the
-    partial sum's pole order by keeping the smallest pairs (see _normalize).
-    So the pass keeps the partial sum's constant and its order-1 and
-    order-2 partial-fraction coefficients per root, with the retained pairs
-    per root, and builds the integer numerator once at the end.
+    representation that adding the terms one at a time leaves (the fold of
+    the test oracles): given the retained factors, num / scale is the value
+    times their product, and the fold retains at each root -nu/N the pairs
+    seen there since the last zero partial sum (largest count of each
+    pair), cut down to the partial sum's pole order by keeping the smallest
+    pairs.  So the pass keeps the partial sum's constant and its order-1
+    and order-2 partial-fraction coefficients per root, with the retained
+    pairs per root, and builds the integer numerator once at the end.
     """
     if len(terms) == 1:
         return RatFuncS.from_term(*terms[0])
-    const = 0
     coeff = {}  # (root, order) -> nonzero coefficient of 1 / (s - root)^order
     kept = {}   # root -> {pair: count} retained at that root
-
-    def add(key, c):
-        c += coeff.pop(key, 0)
-        if c:
-            coeff[key] = c
-
     for chi, pairs in terms:
-        c = Fraction(chi)
-        lin = []
-        for p in pairs:
-            if p == (0, 0):
-                raise ValueError("factor (0, 0)")
-            if p[0]:
-                lin.append(p)
-            else:
-                c /= p[1]
-        if not c:  # `+` returns the running sum unchanged
+        factor_roots, parts = _term_fractions(chi, pairs)
+        if not parts:  # the fold returns the running sum unchanged
             continue
-        if len(lin) > 2:
-            raise ValueError("a term may have at most two factors with N != 0")
-        roots = [Fraction(-nu, n) for n, nu in lin]
-        if not lin:
-            const += c
-        elif len(lin) == 1:
-            add((roots[0], 1), c / lin[0][0])
-        else:
-            (n1, nu1), (n2, nu2) = lin
-            det = n1 * nu2 - n2 * nu1
-            if det:
-                add((roots[0], 1), c / det)
-                add((roots[1], 1), -c / det)
-            else:
-                add((roots[0], 2), c / (n1 * n2))
-        if not coeff and not const:
+        for key, c in parts:
+            c += coeff.pop(key, 0)
+            if c:
+                coeff[key] = c
+        if not coeff:
             kept.clear()
             continue
-        for r in set(roots):
+        lin = [p for p, _ in factor_roots]
+        for r in {r for _, r in factor_roots}:
             merged = dict(kept.get(r, ()))
-            for p, rp in zip(lin, roots):
+            for p, rp in factor_roots:
                 if rp == r:
                     merged[p] = max(merged.get(p, 0), lin.count(p))
             order = 2 if (r, 2) in coeff else 1 if (r, 1) in coeff else 0
@@ -447,8 +396,9 @@ def _partial_fraction_sum(terms):
                     break
                 retained[p] = min(merged[p], order)
                 order -= retained[p]
-    if not coeff and not const:
+    if not coeff:
         return RatFuncS.zero()
+    const = coeff.pop((0, 0), Fraction(0))
     product = [1]
     for retained in kept.values():
         for (n, nu), m in retained.items():

@@ -3,7 +3,8 @@
 Inputs are paths to diagram documents, `-` for stdin, or `example:<name>`
 for a bundled diagram.  Exit codes: 0 success or verified, 1 verification
 failure, 2 input or output error (standard output closed early counts as
-an output error).  Every subcommand has a `--machine` mode printing stable
+an output error), 3 internal error (an unexpected exception, reported on
+one line).  Every subcommand has a `--machine` mode printing stable
 `key=value` records, one per line, with no spaces inside values.
 """
 
@@ -29,7 +30,7 @@ from .monodromy import (
 )
 from .refine import realizable_refine, reduce
 from .splice import SpliceResult, _motivic_identity, _top_identity, splice
-from .zeta import motivic_zeta, poles, top_zeta, twisted_top_zeta
+from .zeta import _top_terms, motivic_zeta, poles, top_zeta, twisted_top_zeta
 
 
 class InputError(Exception):
@@ -173,7 +174,7 @@ def cmd_verify_splice(args, out):
         # without edges
         if whole is None:
             refined = realizable_refine(d)
-            whole = motivic_zeta(refined), top_zeta(refined)
+            whole = motivic_zeta(refined), _top_terms(refined)
         # refining a refinement inserts nothing, so each half refines once
         r = SpliceResult(realizable_refine(r.left), realizable_refine(r.right),
                          r.data)
@@ -373,6 +374,11 @@ def main(argv=None):
     except (InputError, SpliceZetaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a fault of the program, not of its input: keep 1 for "not verified"
+        message = " ".join(str(exc).splitlines())
+        print(f"error: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

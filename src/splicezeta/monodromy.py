@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .algebra import CycloProduct
+from .algebra import CycloProduct, _partial_fraction_sum
 from .diagram import arrow_refined_weights, valency
 from .errors import NoFArrow, NonPolynomialDelta1
 from .refine import realizable_refine, reduce
-from .zeta import _sum_terms, _top_terms, poles
+from .zeta import _top_terms, poles
 
 
 @dataclass(frozen=True, order=True)
@@ -222,9 +222,9 @@ def mc_report(diagram, twisted_orders=()):
             recs.append(PoleRecord(s0, mult, q, via != "none", via))
         return ZetaReport(kind, z, tuple(recs))
 
-    zetas = [classify(_sum_terms(_top_terms(refined)), "top")]
+    zetas = [classify(_partial_fraction_sum(_top_terms(refined)), "top")]
     for e in twisted_orders:
-        zetas.append(classify(_sum_terms(_top_terms(refined, e)), f"twisted-{e}"))
+        zetas.append(classify(_partial_fraction_sum(_top_terms(refined, e)), f"twisted-{e}"))
     return MCReport(allowed=is_allowed(diagram), zetas=tuple(zetas))
 
 

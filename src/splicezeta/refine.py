@@ -178,9 +178,14 @@ def _chain(existing, base, w_l, w_r, start, d_start, end=None, d_end=None,
 
     It runs from node start to node end, or to its last new node; an interior
     vector (a, b) is a node decorated a toward the end and b toward the start.
+    A caller's subdivision must run from w_l to w_r.
     """
     if subdivision is None:
         subdivision = smooth_subdivide_minimal(w_l, w_r)
+    elif subdivision.vectors[0] != w_l or subdivision.vectors[-1] != w_r:
+        raise ValueError(
+            f"subdivision must run from {w_l} to {w_r}, "
+            f"got {subdivision.vectors[0]} to {subdivision.vectors[-1]}")
     interior = subdivision.interior
     names = _fresh_ids(existing, base, len(interior))
     chain = [start] + names + ([] if end is None else [end])
@@ -208,11 +213,6 @@ def refine_edge(d, e, subdivision=None):
     if e is None:
         raise NotAnEdge("edge not in diagram")
     w_l, w_r = _edge_cone(d, e)
-    if subdivision is not None and (subdivision.vectors[0] != w_l
-                                    or subdivision.vectors[-1] != w_r):
-        raise ValueError(
-            f"subdivision must run from {w_l} to {w_r}, "
-            f"got {subdivision.vectors[0]} to {subdivision.vectors[-1]}")
     names, interior, chain = _chain(set(d.nodes), f"{e.u}.{e.v}.", w_l, w_r,
                                     e.u, e.du, e.v, e.dv, subdivision)
     if not names:
@@ -231,7 +231,7 @@ def refine_arrow(d, arrow, subdivision=None):
     The cone runs from (dec, outer product at the node) to (0, 1); the
     arrowhead reattaches to the last inserted node with decoration one.
     Needs the node's multiplicities, interpolating toward (N, nu) of the
-    arrowhead at the ray (0, 1).
+    arrowhead at the ray (0, 1).  A given subdivision must span that cone.
     """
     if arrow.dec == 1:
         return d

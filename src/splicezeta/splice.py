@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import RatFuncS
+from .algebra import RatFuncS, _partial_fractions_vanish
 from .diagram import (
     Arrowhead,
     Diagram,
@@ -21,7 +21,8 @@ from .diagram import (
     ensure_cached,
 )
 from .errors import DegenerateDenominator, NotAnEdge
-from .zeta import L_MINUS_1_SQ, ZetaExpr, motivic_zeta, top_zeta
+from .refine import realizable_refine
+from .zeta import L_MINUS_1_SQ, ZetaExpr, _add_strata, _top_terms, motivic_zeta
 
 
 @dataclass(frozen=True)
@@ -65,16 +66,19 @@ def splice(diagram, edge_key):
 
 def correction_term(m, m_prime, i, i_prime):
     """(L - 1)^2 * T^(M + M') / ((L^i - T^M) (L^i' - T^M'))."""
-    if (m, i) == (0, 0) or (m_prime, i_prime) == (0, 0):
-        raise DegenerateDenominator("correction term needs (M, i) != (0, 0)")
+    _check_correction(m, m_prime, i, i_prime)
     return ZetaExpr.term(L_MINUS_1_SQ, ((i, m), (i_prime, m_prime)))
 
 
 def correction_term_top(m, m_prime, i, i_prime):
     """1 / ((M s + i) (M' s + i'))."""
+    _check_correction(m, m_prime, i, i_prime)
+    return RatFuncS.from_term(1, [(m, i), (m_prime, i_prime)])
+
+
+def _check_correction(m, m_prime, i, i_prime):
     if (m, i) == (0, 0) or (m_prime, i_prime) == (0, 0):
         raise DegenerateDenominator("correction term needs (M, i) != (0, 0)")
-    return RatFuncS.from_term(1, [(m, i), (m_prime, i_prime)])
 
 
 def verify_splice_motivic(diagram, edge_key):
@@ -84,16 +88,25 @@ def verify_splice_motivic(diagram, edge_key):
 
 def verify_splice_top(diagram, edge_key):
     """Exact check of the topological specialization of the splice identity."""
-    return _top_identity(top_zeta(diagram), splice(diagram, edge_key))
+    return _top_identity(_top_terms(realizable_refine(diagram)), splice(diagram, edge_key))
 
 
 def _motivic_identity(whole, r):
-    """Whether whole, the motivic zeta of the spliced diagram, fits r."""
-    return whole == motivic_zeta(r.left) + motivic_zeta(r.right) - correction_term(
-        *r.data.as_tuple())
+    """Whether whole, the motivic zeta of the spliced diagram, fits r: the
+    difference Z(G) + correction - Z(G_L) - Z(G_R) is built and tested once."""
+    diff = (whole + correction_term(*r.data.as_tuple())).terms
+    _add_strata(diff, r.left, -1)
+    _add_strata(diff, r.right, -1)
+    return ZetaExpr(diff).is_zero()
 
 
 def _top_identity(whole, r):
-    """Whether whole, the topological zeta of the spliced diagram, fits r."""
-    return whole == top_zeta(r.left) + top_zeta(r.right) - correction_term_top(
-        *r.data.as_tuple())
+    """Whether the top zeta terms `whole` of the spliced diagram fit r: with
+    the halves' negated terms and the correction they must sum to zero."""
+    terms = list(whole)
+    for half in (r.left, r.right):
+        terms += [(-chi, pairs) for chi, pairs in _top_terms(realizable_refine(half))]
+    m, m_prime, i, i_prime = r.data.as_tuple()
+    _check_correction(m, m_prime, i, i_prime)
+    terms.append((1, ((m, i), (m_prime, i_prime))))
+    return _partial_fractions_vanish(terms)

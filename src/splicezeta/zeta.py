@@ -12,7 +12,7 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heapreplace
 
-from .algebra import Poly2, _partial_fraction_sum
+from .algebra import Poly2, _div_linear, _partial_fraction_sum
 from .errors import DegenerateDenominator, PoleAtOne
 from .refine import realizable_refine
 
@@ -52,15 +52,8 @@ class ZetaExpr:
     def __add__(self, other):
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        z = ZetaExpr()
-        z.terms = out
-        return z
+            _add_term(out, k, c)
+        return ZetaExpr(out)
 
     def __neg__(self):
         z = ZetaExpr()
@@ -130,11 +123,13 @@ def _expansion_vanishes(z):
     z is zero exactly when its expansion vanishes up to T^B.  The degrees
     are walked in increasing windows of about _WINDOW_KEYS monomials, which
     bounds the memory, and a nonzero z stops at the window of its lowest term.
+    First the coefficients are divided by L - 1 while it divides them all:
+    z = (L - 1) z' in a domain, so that is exact, and B does not grow.
     """
     mult = z.pairs()
     cones = defaultdict(lambda: defaultdict(int))  # apex -> L-exponent -> coeff
     top = 0
-    for key, coeff in z.terms.items():
+    for key, coeff in zip(z.terms, _without_content(list(z.terms.values()))):
         for (nu, n), m in mult.items():
             for _ in range(0 if n else m - key.count((nu, n))):
                 coeff = coeff * Poly2({(nu, 0): 1, (0, 0): -1})
@@ -183,6 +178,32 @@ def _expansion_vanishes(z):
 _WINDOW_KEYS = 1 << 13
 
 
+def _without_content(coeffs):
+    """The coefficients divided by L - 1 for as long as it divides them all."""
+    while coeffs:
+        quotients = [_over_l_minus_1(c) for c in coeffs]
+        if any(q is None for q in quotients):
+            break
+        coeffs = quotients
+    return coeffs
+
+
+def _over_l_minus_1(coeff):
+    """coeff / (L - 1), or None unless L - 1 divides the part of each
+    T-degree and the quotient has no more monomials (L^9 - 1 stays sparse)."""
+    rows = defaultdict(dict)
+    for (a, b), c in coeff.terms.items():
+        rows[b][a] = c
+    out = {}
+    for b, row in rows.items():
+        lo = min(row)
+        dense = [row.get(a, 0) for a in range(lo, max(row) + 1)]
+        if sum(dense):  # the value at L = 1
+            return None
+        out.update(((lo + k, b), c) for k, c in enumerate(_div_linear(dense, 1, -1)) if c)
+    return Poly2(out) if len(out) <= len(coeff.terms) else None
+
+
 def _strata(d):
     """(pair(v), full valency) per node, pair lists for edges and arrows."""
     table = {v: tuple(d.cache(v)) for v in d.nodes}
@@ -203,21 +224,30 @@ def _strata(d):
 
 def motivic_zeta(diagram):
     """Motivic zeta function of the diagram as an exact ZetaExpr."""
-    d = realizable_refine(diagram)
-    nodes, edges, arrows = _strata(d)
-    acc = ZetaExpr.zero()
+    acc = {}
+    _add_strata(acc, diagram)
+    return ZetaExpr(acc)
+
+
+def _add_strata(acc, diagram, sign=1):
+    """Add sign times the terms of motivic_zeta(diagram) to the term dict acc
+    (as ZetaExpr.terms, but cancelled terms stay with coefficient 0)."""
+    nodes, edges, arrows = _strata(realizable_refine(diagram))
     for pair, delta in nodes:
-        coeff = L_MINUS_1 * Poly2({(1, 0): 1, (0, 0): 1 - delta})
-        acc = acc + ZetaExpr.term(coeff, (pair,))
-    for pu, pv in edges:
-        acc = acc + ZetaExpr.term(L_MINUS_1_SQ, (pu, pv))
-    for pv, pa in arrows:
-        acc = acc + ZetaExpr.term(L_MINUS_1_SQ, (pv, pa))
-    return acc
+        _add_term(acc, (pair,), L_MINUS_1 * Poly2({(1, 0): sign, (0, 0): (1 - delta) * sign}))
+    coeff = L_MINUS_1_SQ * sign
+    for p, q in edges + arrows:
+        _add_term(acc, (p, q) if p <= q else (q, p), coeff)
+
+
+def _add_term(acc, key, coeff):
+    """acc[key] += coeff on a term dict."""
+    old = acc.get(key)
+    acc[key] = coeff if old is None else old + coeff
 
 
 def _top_terms(d, order=None):
-    """RatFuncS terms of the (possibly twisted) topological zeta function."""
+    """(chi, (N, nu) pairs) terms of the (possibly twisted) topological zeta."""
     if order is not None and order < 1:
         raise ValueError("order must be a positive integer")
     nodes, edges, arrows = _strata(d)
@@ -225,23 +255,18 @@ def _top_terms(d, order=None):
         nodes = [(pair, delta) for pair, delta in nodes if pair[1] % order == 0]
         edges = [(p, q) for p, q in edges if not (p[1] % order or q[1] % order)]
         arrows = [(p, q) for p, q in arrows if not (p[1] % order or q[1] % order)]
-    terms = [(2 - delta, (pair,)) for pair, delta in nodes if delta != 2]
-    return terms + [(1, pairs) for pairs in edges + arrows]
-
-
-def _sum_terms(terms):
-    return _partial_fraction_sum([(chi, [(n, nu) for (nu, n) in pairs])
-                                  for chi, pairs in terms])
+    terms = [(2 - delta, ((n, nu),)) for (nu, n), delta in nodes if delta != 2]
+    return terms + [(1, ((n, nu), (m, mu))) for (nu, n), (mu, m) in edges + arrows]
 
 
 def top_zeta(diagram):
     """Topological zeta function, fully cancelled."""
-    return _sum_terms(_top_terms(realizable_refine(diagram)))
+    return _partial_fraction_sum(_top_terms(realizable_refine(diagram)))
 
 
 def twisted_top_zeta(diagram, order):
     """Topological zeta restricted to strata whose N's are divisible by order."""
-    return _sum_terms(_top_terms(realizable_refine(diagram), order))
+    return _partial_fraction_sum(_top_terms(realizable_refine(diagram), order))
 
 
 def _binomials(a, k):

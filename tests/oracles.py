@@ -4,18 +4,19 @@ Nothing in here goes through the package's formulas: multiplicities come
 from explicit blow-up charts or from linking numbers read off tree paths,
 subdivisions from exhaustive search, root orders from expanded polynomials.
 Only the diagram data structure and its edge sides are shared, and two
-references reuse the package's algebra: `fold_sum` adds with
-`RatFuncS.__add__`, the representation the one-pass top-zeta sum must keep,
-and `cleared_numerator` clears the denominators of a `ZetaExpr` with
-`Poly2` products, the verdict the T-adic equality test must match.
+references reuse the package's algebra: `fold_sum` adds one term at a time
+with `rat_add`, which cancels and normalises after each step and leaves the
+representation the one-pass top-zeta sum must keep, and `cleared_numerator`
+clears the denominators of a `ZetaExpr` with `Poly2` products, the verdict
+the T-adic equality test must match.
 """
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import sympy as sp
 
-from splicezeta.algebra import Poly2, RatFuncS
+from splicezeta.algebra import Poly2, RatFuncS, _poly_eval, _poly_mul, _poly_trim
 from splicezeta.diagram import Arrowhead, edge_sides
 
 
@@ -156,15 +157,105 @@ def sum_terms_at(terms, s):
 
 
 def fold_sum(terms):
-    """Sum of chi / prod (N s + nu), adding one term at a time with `+`.
+    """Sum of chi / prod (N s + nu), adding one term at a time with rat_add.
 
     Every step cancels and normalises the running sum again, so this is
     cubic in the number of terms; the package sums in one pass instead.
     """
     acc = RatFuncS.zero()
     for chi, pairs in terms:
-        acc = acc + RatFuncS.from_term(chi, pairs)
+        acc = rat_add(acc, RatFuncS.from_term(chi, pairs))
     return acc
+
+
+def rat_add(a, b):
+    """a + b over the union of the retained factors, cancelled again."""
+    if a.is_zero():
+        return b
+    if b.is_zero():
+        return a
+    da, db = dict(a.den), dict(b.den)
+    union = {p: max(da.get(p, 0), db.get(p, 0)) for p in set(da) | set(db)}
+    sc = lcm(a.scale, b.scale)
+    na = [Fraction(c) for c in a.num] or [Fraction(0)]
+    nb = [Fraction(c) for c in b.num] or [Fraction(0)]
+    na = _poly_scale(na, Fraction(sc, a.scale))
+    nb = _poly_scale(nb, Fraction(sc, b.scale))
+    for p, m in union.items():
+        f = [p[1], p[0]]  # nu + N*s
+        for _ in range(m - da.get(p, 0)):
+            na = _poly_mul(na, f)
+        for _ in range(m - db.get(p, 0)):
+            nb = _poly_mul(nb, f)
+    return _normalize(_poly_add(na, nb), union, sc)
+
+
+def rat_sub(a, b):
+    return rat_add(a, RatFuncS(tuple(-c for c in b.num), b.den, b.scale))
+
+
+def _poly_add(a, b):
+    n = max(len(a), len(b))
+    return _poly_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                       for i in range(n)])
+
+
+def _poly_scale(a, c):
+    if c == 0:
+        return []
+    return [x * c for x in a]
+
+
+def _poly_div_linear(a, n, nu):
+    """Exact division of a by (n*s + nu); coefficients may become Fractions."""
+    root = Fraction(-nu, n)
+    out = [Fraction(0)] * (len(a) - 1)
+    carry = Fraction(0)
+    for k in range(len(a) - 1, 0, -1):
+        carry = carry + a[k]
+        out[k - 1] = carry
+        carry = carry * root
+    if carry + a[0] != 0:
+        raise ValueError("not divisible")
+    return _poly_trim([c / n for c in out])
+
+
+def _normalize(num, den, scale):
+    """Cancel shared roots, fold constants, restore integer coefficients."""
+    num = _poly_trim(num)
+    if not num:
+        return RatFuncS.zero()
+    den = {p: m for p, m in den.items() if m > 0}
+    # cancel proportional factors largest first, so the primitive ones survive
+    for p in sorted(den, reverse=True):
+        n, nu = p
+        if n == 0:
+            continue
+        root = Fraction(-nu, n)
+        while den.get(p, 0) > 0 and _poly_eval(num, root) == 0:
+            num = _poly_div_linear(num, n, nu)
+            den[p] -= 1
+        if den.get(p) == 0:
+            del den[p]
+    sign = 1
+    for p in list(den):
+        n, nu = p
+        if n == 0:
+            m = den.pop(p)
+            scale *= nu ** m
+    if scale < 0:
+        sign = -1
+        scale = -scale
+    mult = lcm(*(c.denominator for c in num)) if num else 1
+    ints = [int(c * mult) for c in num]
+    scale *= mult
+    g = gcd(*(abs(c) for c in ints), scale)
+    if g > 1:
+        ints = [c // g for c in ints]
+        scale //= g
+    if sign < 0:
+        ints = [-c for c in ints]
+    return RatFuncS(ints, {p: m for p, m in den.items()}.items(), scale)
 
 
 # ---------------------------------------------------------------------------

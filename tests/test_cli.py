@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from splicezeta import refine
+from splicezeta import cli, refine
 from splicezeta.cli import main
 from splicezeta.diagram import Arrowhead, Diagram
 from splicezeta.sdio import write_sd, example
@@ -150,6 +150,17 @@ def test_unknown_flag_rejected(capsys):
         main(["zeta", "--frobnicate", "example:cusp"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
+    def fault(args, out):
+        out.write("partial\n")
+        raise RuntimeError("lost\ninvariant")
+
+    monkeypatch.setattr(cli, "cmd_mult", fault)
+    code, _, err = run_cli("mult", "example:cusp", capsys=capsys)
+    assert code == 3
+    assert err == "error: internal error: RuntimeError: lost invariant\n"
 
 
 def test_mult_machine_roundtrip(capsys):

@@ -146,6 +146,20 @@ def test_refine_arrow_requires_cache():
         refine_arrow(d, d.arrows_at("v")[0])
 
 
+def test_caller_subdivision_must_span_the_cone():
+    # the decoration-5 arrowhead of the decorated half; its cone runs from
+    # (5, 66) to (0, 1)
+    h = splice(example("nv2"), ("n3", "n4")).left
+    a = next(a for a in h.arrows if a.dec == 5)
+    with pytest.raises(ValueError, match="must run from"):
+        refine_arrow(h, a, Subdivision([(2, 1), (1, 1), (0, 1)]))
+    given = refine_arrow(h, a, smooth_subdivide_minimal((5, 66), (0, 1)))
+    assert write_sd(given) == write_sd(refine_arrow(h, a))
+    d = ensure_cached(builder_nv_example2(1, 1, 1, 1))
+    with pytest.raises(ValueError, match="must run from"):
+        refine_edge(d, d.edge_between("n3", "n4"), Subdivision([(2, 1), (1, 1), (0, 1)]))
+
+
 def test_refine_arrow_matches_toric_chain():
     """A two-node diagram collapsing x^2 with trivial form data.
 

@@ -3,19 +3,29 @@ import signal
 
 import pytest
 
-from splicezeta.algebra import Poly2
+from splicezeta.algebra import Poly2, RatFuncS
 from splicezeta.diagram import validate
 from splicezeta.errors import DegenerateDenominator, NotAnEdge, SpliceZetaError
-from splicezeta.refine import reduce
-from splicezeta.sdio import builder_cusp, builder_monomial, builder_nv_example2, random_diagram
+from splicezeta.refine import realizable_refine, reduce
+from splicezeta.sdio import (
+    EXAMPLES,
+    builder_cusp,
+    builder_monomial,
+    builder_nv_example2,
+    example,
+    random_diagram,
+)
 from splicezeta.splice import (
+    _top_identity,
     correction_term,
     correction_term_top,
     splice,
     verify_splice_motivic,
     verify_splice_top,
 )
-from splicezeta.zeta import ZetaExpr, motivic_zeta
+from splicezeta.zeta import ZetaExpr, _top_terms, motivic_zeta
+
+from oracles import fold_sum, rat_add, rat_sub
 
 L1SQ = Poly2({(2, 0): 1, (1, 0): -2, (0, 0): 1})
 
@@ -107,6 +117,28 @@ def test_verify_splice_generated():
             # degenerate side weights (M, i) = (0, 0) cannot be spliced
             continue
         checked += 1
+
+
+def test_top_identity_agrees_with_the_fold():
+    """The one-pass zero test against summing each side with the fold."""
+    rng = random.Random(37)
+    diagrams = [example(name) for name in sorted(EXAMPLES)]
+    diagrams += [reduce(random_diagram(s, m)) for s in range(30) for m in (6, 14, 30)]
+    checked = 0
+    for d in diagrams:
+        whole = _top_terms(realizable_refine(d))
+        folded = fold_sum(whole)
+        for e in d.edges:
+            r = splice(d, (e.u, e.v))
+            halves = [fold_sum(_top_terms(realizable_refine(h))) for h in (r.left, r.right)]
+            rhs = rat_sub(rat_add(*halves), correction_term_top(*r.data.as_tuple()))
+            assert verify_splice_top(d, (e.u, e.v))
+            assert folded == rhs
+            extra = (rng.choice((-1, 1, 2)), rng.choice(whole)[1])
+            assert not _top_identity(whole + [extra], r)
+            assert rat_add(folded, RatFuncS.from_term(*extra)) != rhs  # the fold of it
+            checked += 1
+    assert checked >= 300
 
 
 class OverBudget(Exception):

@@ -18,6 +18,7 @@ from splicezeta.sdio import (
 )
 from splicezeta.splice import correction_term, splice
 from splicezeta.zeta import (
+    L_MINUS_1,
     ZetaExpr,
     _top_terms,
     candidate_poles_motivic,
@@ -87,8 +88,7 @@ def test_top_sum_keeps_the_fold_representation(order):
         r = splice(nv2, (e.u, e.v))
         diagrams += [r.left, r.right]
     for d in diagrams:
-        terms = [(chi, [(n, nu) for (nu, n) in pairs])
-                 for chi, pairs in _top_terms(realizable_refine(d), order)]
+        terms = _top_terms(realizable_refine(d), order)
         z = top_zeta(d) if order is None else twisted_top_zeta(d, order)
         expected = fold_sum(terms)
         assert (z.num, z.den, z.scale) == (expected.num, expected.den, expected.scale)
@@ -351,6 +351,37 @@ def test_equality_agrees_with_clearing_on_synthetic_sums():
         assert (x == y) == expect, (x, y)
         zeros += expect
     assert 100 <= zeros <= 500
+
+
+def n0_identity(rng):
+    """c (L^nu - 1) G g(nu, 0) - c G, which is zero: g(nu, 0) = 1 / (L^nu - 1)
+    for a pair with N = 0, and G is a product of factors.  Its two
+    coefficients differ by the factor L^nu - 1, which vanishes at L = 1."""
+    nu = rng.choice((1, 2, -1))
+    pairs = [rng.choice(EQ_PAIRS) for _ in range(rng.randint(0, 2))]
+    c = random_coeff(rng)
+    return (ZetaExpr.term(c * Poly2({(nu, 0): 1, (0, 0): -1}), pairs + [(nu, 0)])
+            - ZetaExpr.term(c, pairs))
+
+
+def test_content_removal_agrees_with_clearing():
+    rng = random.Random(53)
+    zeros = 0
+    for k in range(600):
+        if rng.random() < 0.5:
+            z = zero_identity(rng) + n0_identity(rng)
+        else:
+            z = random_zeta_expr(rng) + n0_identity(rng)
+        if rng.random() < 0.3:
+            z = z + ZetaExpr.term(random_coeff(rng), [rng.choice(EQ_PAIRS)])
+        content = Poly2.one()
+        for _ in range(k % 4):
+            content = content * L_MINUS_1
+        z = ZetaExpr({key: c * content for key, c in z.terms.items()})
+        expect = cleared_numerator(z).is_zero()
+        assert (z == ZetaExpr.zero()) == expect, z
+        zeros += expect
+    assert 200 <= zeros <= 400
 
 
 def test_zeta_expr_render():
