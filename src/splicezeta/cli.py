@@ -11,6 +11,7 @@ one line).  Every subcommand has a `--machine` mode printing stable
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import textwrap
@@ -312,7 +313,9 @@ def build_parser():
 
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
+        # a name that main looks up when the command runs, so that a
+        # replaced cmd_* function is the one called
+        p.set_defaults(fn=fn.__name__)
         p.add_argument("--machine", action="store_true",
                        help="stable key=value output")
         return p
@@ -358,11 +361,15 @@ def build_parser():
     return parser
 
 
+# built on the first call to main, then reused by every later call
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code; callable repeatedly."""
+    args = _shared_parser().parse_args(argv)
     try:
-        code = args.fn(args, sys.stdout)
+        code = globals()[args.fn](args, sys.stdout)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -16,7 +16,7 @@ from .algebra import CycloProduct, _partial_fraction_sum
 from .diagram import arrow_refined_weights, valency
 from .errors import NoFArrow, NonPolynomialDelta1
 from .refine import realizable_refine, reduce
-from .zeta import _top_terms, poles
+from .zeta import _strata, _strata_top_terms, poles
 
 
 @dataclass(frozen=True, order=True)
@@ -222,9 +222,10 @@ def mc_report(diagram, twisted_orders=()):
             recs.append(PoleRecord(s0, mult, q, via != "none", via))
         return ZetaReport(kind, z, tuple(recs))
 
-    zetas = [classify(_partial_fraction_sum(_top_terms(refined)), "top")]
-    for e in twisted_orders:
-        zetas.append(classify(_partial_fraction_sum(_top_terms(refined, e)), f"twisted-{e}"))
+    strata = _strata(refined)  # each twisted order filters the same strata
+    zetas = [classify(_partial_fraction_sum(_strata_top_terms(strata, e)),
+                      "top" if e is None else f"twisted-{e}")
+             for e in (None, *twisted_orders)]
     return MCReport(allowed=is_allowed(diagram), zetas=tuple(zetas))
 
 

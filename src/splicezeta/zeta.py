@@ -248,9 +248,14 @@ def _add_term(acc, key, coeff):
 
 def _top_terms(d, order=None):
     """(chi, (N, nu) pairs) terms of the (possibly twisted) topological zeta."""
+    return _strata_top_terms(_strata(d), order)
+
+
+def _strata_top_terms(strata, order=None):
+    """_top_terms of the refinement whose _strata are given."""
     if order is not None and order < 1:
         raise ValueError("order must be a positive integer")
-    nodes, edges, arrows = _strata(d)
+    nodes, edges, arrows = strata
     if order is not None:
         nodes = [(pair, delta) for pair, delta in nodes if pair[1] % order == 0]
         edges = [(p, q) for p, q in edges if not (p[1] % order or q[1] % order)]

@@ -16,7 +16,7 @@ from math import gcd, lcm, prod
 
 import sympy as sp
 
-from splicezeta.algebra import Poly2, RatFuncS, _poly_eval, _poly_mul, _poly_trim
+from splicezeta.algebra import Poly2, RatFuncS, _poly_mul, _poly_trim
 from splicezeta.diagram import Arrowhead, edge_sides
 
 
@@ -169,7 +169,11 @@ def fold_sum(terms):
 
 
 def rat_add(a, b):
-    """a + b over the union of the retained factors, cancelled again."""
+    """a + b over the union of the retained factors, cancelled again.
+
+    Both numerators are brought to the common scale and factors as integer
+    polynomials, so the sum and its cancellation stay on integers.
+    """
     if a.is_zero():
         return b
     if b.is_zero():
@@ -177,10 +181,8 @@ def rat_add(a, b):
     da, db = dict(a.den), dict(b.den)
     union = {p: max(da.get(p, 0), db.get(p, 0)) for p in set(da) | set(db)}
     sc = lcm(a.scale, b.scale)
-    na = [Fraction(c) for c in a.num] or [Fraction(0)]
-    nb = [Fraction(c) for c in b.num] or [Fraction(0)]
-    na = _poly_scale(na, Fraction(sc, a.scale))
-    nb = _poly_scale(nb, Fraction(sc, b.scale))
+    na = [c * (sc // a.scale) for c in a.num]
+    nb = [c * (sc // b.scale) for c in b.num]
     for p, m in union.items():
         f = [p[1], p[0]]  # nu + N*s
         for _ in range(m - da.get(p, 0)):
@@ -200,28 +202,23 @@ def _poly_add(a, b):
                        for i in range(n)])
 
 
-def _poly_scale(a, c):
-    if c == 0:
-        return []
-    return [x * c for x in a]
-
-
 def _poly_div_linear(a, n, nu):
-    """Exact division of a by (n*s + nu); coefficients may become Fractions."""
-    root = Fraction(-nu, n)
-    out = [Fraction(0)] * (len(a) - 1)
-    carry = Fraction(0)
+    """a / (n*s + nu) for coprime n, nu, or None when it does not divide a.
+
+    By Gauss's lemma the quotient of an integer polynomial by a primitive
+    linear factor has integer coefficients whenever it exists.
+    """
+    out = [0] * len(a)  # out[k] is the coefficient of s^k in the quotient
     for k in range(len(a) - 1, 0, -1):
-        carry = carry + a[k]
-        out[k - 1] = carry
-        carry = carry * root
-    if carry + a[0] != 0:
-        raise ValueError("not divisible")
-    return _poly_trim([c / n for c in out])
+        q, r = divmod(a[k] - nu * out[k], n)
+        if r:
+            return None
+        out[k - 1] = q
+    return out[:-1] if a[0] == nu * out[0] else None
 
 
 def _normalize(num, den, scale):
-    """Cancel shared roots, fold constants, restore integer coefficients."""
+    """Cancel shared roots, fold constants, reduce num / scale to lowest terms."""
     num = _poly_trim(num)
     if not num:
         return RatFuncS.zero()
@@ -231,31 +228,23 @@ def _normalize(num, den, scale):
         n, nu = p
         if n == 0:
             continue
-        root = Fraction(-nu, n)
-        while den.get(p, 0) > 0 and _poly_eval(num, root) == 0:
-            num = _poly_div_linear(num, n, nu)
+        g = gcd(n, nu)
+        while den.get(p, 0) > 0:
+            quotient = _poly_div_linear(num, n // g, nu // g)
+            if quotient is None:
+                break
+            num, scale = quotient, scale * g
             den[p] -= 1
         if den.get(p) == 0:
             del den[p]
-    sign = 1
     for p in list(den):
         n, nu = p
         if n == 0:
-            m = den.pop(p)
-            scale *= nu ** m
+            scale *= nu ** den.pop(p)
     if scale < 0:
-        sign = -1
-        scale = -scale
-    mult = lcm(*(c.denominator for c in num)) if num else 1
-    ints = [int(c * mult) for c in num]
-    scale *= mult
-    g = gcd(*(abs(c) for c in ints), scale)
-    if g > 1:
-        ints = [c // g for c in ints]
-        scale //= g
-    if sign < 0:
-        ints = [-c for c in ints]
-    return RatFuncS(ints, {p: m for p, m in den.items()}.items(), scale)
+        num, scale = [-c for c in num], -scale
+    g = gcd(*num, scale)
+    return RatFuncS([c // g for c in num], den.items(), scale // g)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from splicezeta import cli, refine
 from splicezeta.cli import main
 from splicezeta.diagram import Arrowhead, Diagram
-from splicezeta.sdio import write_sd, example
+from splicezeta.sdio import EXAMPLES, example, write_sd
 from splicezeta.splice import splice, verify_splice_motivic, verify_splice_top
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -292,14 +292,17 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
 ZERO_PAIR = "node a\narrow a 1 0 1\narrow a 1 0 -1\n"
 
 
-@pytest.mark.parametrize("argv, code", [
+ZERO_PAIR_CODES = [
     (["validate"], 0), (["mult"], 2), (["refine"], 2), (["reduce"], 0),
     (["zeta", "--kind", "top"], 2), (["zeta", "--kind", "motivic"], 2),
     (["zeta", "--kind", "twisted", "--order", "2"], 2),
     (["splice", "--edge", "a", "a"], 2), (["verify-splice"], 0),
     (["monodromy"], 2), (["allowed"], 0),
     (["mc-check", "--twisted-orders", "auto"], 2),
-])
+]
+
+
+@pytest.mark.parametrize("argv, code", ZERO_PAIR_CODES)
 @pytest.mark.parametrize("machine", [False, True])
 def test_zero_pair_node_is_input_error(argv, code, machine, tmp_path, capsys):
     path = tmp_path / "zero.sd"
@@ -312,12 +315,14 @@ def test_zero_pair_node_is_input_error(argv, code, machine, tmp_path, capsys):
         assert err == "error: (N, nu) = (0, 0) at node a\n"
 
 
+# the cache (5, 1) at v contradicts the formulas, which give (3, 3)
+COOKED = Diagram(["v"], [], [Arrowhead("v", 2, 3, 1), Arrowhead("v", 1, 0, 1)],
+                 {"v": (5, 1)})
+
+
 def test_cache_contradicting_the_formulas_is_input_error(tmp_path, capsys):
-    # the cache (5, 1) at v contradicts the formulas, which give (3, 3)
     path = tmp_path / "cooked.sd"
-    path.write_text(write_sd(Diagram(
-        ["v"], [], [Arrowhead("v", 2, 3, 1), Arrowhead("v", 1, 0, 1)],
-        {"v": (5, 1)})))
+    path.write_text(write_sd(COOKED))
     code, out, err = run_cli("zeta", str(path), capsys=capsys)
     assert code == 2 and out == ""
     assert "cached (5, 1) != computed (3, 3)" in err
@@ -337,3 +342,117 @@ def test_closed_stdout_is_output_error(argv, unbuffered):
     _, err = proc.communicate(write_sd(example("nv2")).encode(), timeout=60)
     assert proc.returncode == 2
     assert err.decode() == "error: output closed early\n"
+
+
+# ---------------------------------------------------------------------------
+# One process, many commands: main builds its parser once and reuses it.
+# ---------------------------------------------------------------------------
+
+DOCUMENTED = (0, 1, 2)  # 3 is an internal error, a fault of the program
+CUSP_TOP = "(4*s + 5) / ((1*s + 1)*(6*s + 5))\n"
+PER_EXAMPLE = (
+    ["validate"], ["mult"], ["refine"], ["reduce"],
+    ["zeta", "--kind", "top"], ["zeta", "--kind", "motivic"],
+    ["zeta", "--kind", "twisted", "--order", "2"],
+    ["splice", "--edge", "{u}", "{v}"], ["verify-splice"],
+    ["verify-splice", "--edge", "{u}", "{v}"], ["monodromy"], ["allowed"],
+    ["mc-check"], ["mc-check", "--twisted-orders", "auto"],
+    ["mc-check", "--twisted-orders", "2,3", "--max-order", "4"],
+)
+
+
+def outcome(argv, capsys):
+    """(exit code, stdout, stderr) of main(argv); a usage error is its
+    SystemExit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def command_table(tmp_path):
+    """(argv, expected exit code) for every subcommand on every bundled
+    example, with and without --machine, and the malformed inputs above."""
+    rows = []
+    for name in sorted(EXAMPLES):
+        edges = example(name).edges
+        for tmpl in PER_EXAMPLE:
+            if "--edge" in tmpl and not edges:
+                continue
+            e = edges[0] if edges else None
+            argv = [a.format(u=e and e.u, v=e and e.v) for a in tmpl]
+            rows += [(argv + [f"example:{name}"], 0),
+                     (argv + ["--machine", f"example:{name}"], 0)]
+        rows.append((["example", name], 0))
+    rows += [(["example"], 0), (["gen", "--seed", "5", "--moves", "4"], 0),
+             (["gen", "--seed", "5", "--reduce", "--machine"], 0)]
+    files = {"bad.sd": "node a\nnode b\nedge a b 2 2\narrow a 4 1 1\n",
+             "zero.sd": ZERO_PAIR, "star.sd": DECORATED_STAR,
+             "cooked.sd": write_sd(COOKED)}
+    for fname, text in files.items():
+        (tmp_path / fname).write_text(text)
+    bad, zero, star = (str(tmp_path / f) for f in ("bad.sd", "zero.sd", "star.sd"))
+    rows += [
+        (["validate", bad], 1), (["validate", "--machine", bad], 1),
+        (["mult", bad], 2), (["validate", str(tmp_path / "missing.sd")], 2),
+        (["zeta", str(tmp_path / "cooked.sd")], 2),
+        (["allowed", "--machine", star], 0), (["mc-check", "--machine", star], 0),
+        (["mult", "example:nope"], 2), (["example", "nope"], 2),
+        (["zeta", "--kind", "twisted", "example:cusp"], 2),
+        (["mc-check", "--twisted-orders", "2,0", "example:cusp"], 2),
+        (["splice", "--edge", "n3", "n4", "example:cusp"], 2),
+        (["verify-splice", "--edge", "n1", "zz", "example:nv2"], 2),
+        # usage errors: argparse exits 2
+        ([], 2), (["frobnicate"], 2), (["gen"], 2), (["splice", "example:nv2"], 2),
+        (["zeta", "--frobnicate", "example:cusp"], 2),
+        (["zeta", "--kind", "nope", "example:cusp"], 2),
+    ]
+    rows += [(["zeta", "--kind", "twisted", "--order", order, "example:cusp"], 2)
+             for order in ("0", "-3", "two")]
+    rows += [(argv + machine + [zero], code) for argv, code in ZERO_PAIR_CODES
+             for machine in ([], ["--machine"])]
+    return rows
+
+
+def test_every_command_exits_with_a_documented_code(tmp_path, capsys):
+    table = command_table(tmp_path)
+    assert len(table) > 250
+    seen = {}
+    for argv, expected in table:
+        code, out, err = outcome(argv, capsys)
+        assert code == expected and code in DOCUMENTED, (argv, code, err)
+        assert "Traceback" not in err, argv
+        if code == 0:
+            assert not err, argv
+        seen[tuple(argv)] = (code, out, err)
+    # the same commands in the opposite order print the same bytes
+    for argv, _ in reversed(table):
+        assert outcome(argv, capsys) == seen[tuple(argv)], argv
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    assert outcome(["zeta", "--kind", "twisted", "--order", "2", "example:cusp"],
+                   capsys)[0] == 0
+    assert outcome(["zeta", "example:cusp"], capsys) == (0, CUSP_TOP, "")
+
+    code, out, _ = outcome(["verify-splice", "--edge", "n3", "n4", "example:nv2"],
+                           capsys)
+    assert code == 0 and len(out.splitlines()) == 1
+    code, out, _ = outcome(["verify-splice", "example:nv2"], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == len(example("nv2").edges) == 4
+
+
+def test_usage_error_leaves_the_next_command_as_run_alone(capsys):
+    argv = ["mc-check", "--machine", "--twisted-orders", "auto", "example:nv2"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    alone = subprocess.run([sys.executable, "-m", "splicezeta.cli", *argv],
+                           capture_output=True, text=True, env=env, timeout=60)
+    assert alone.returncode == 0 and alone.stdout
+    for bad in (["mc-check", "--twisted-orders"], ["zeta", "--order", "0", "x"],
+                ["verify-splice", "--edge", "n3", "example:nv2"]):
+        assert outcome(bad, capsys)[0] == 2
+        assert outcome(argv, capsys) == (0, alone.stdout, "")
