@@ -309,37 +309,53 @@ class RatFuncS:
         return f"RatFuncS({self})"
 
 
+def _root(n, nu):
+    """The root -nu/n of n*s + nu as the reduced pair (-nu/g, n/g), n/g > 0."""
+    g = gcd(n, nu) if n > 0 else -gcd(n, nu)
+    return -nu // g, n // g
+
+
 def _term_fractions(chi, pairs):
     """The (pair, root) of each factor with N != 0 of chi / prod (N*s + nu),
-    and the term's partial fractions.
+    and the term's partial fractions over one integer denominator.
 
-    The partial fractions are ((root, order), c) for c / (s - root)^order,
-    with the key (0, 0) for the constant; a zero term has none.  A nonzero
-    term may have at most two factors with N != 0.
+    Returns (factors, den, parts), with parts ((root, order), num) for
+    num / den / (s - root)^order, the key (0, 0) for the constant and roots
+    as _root pairs; a zero term has no parts.  A nonzero term may have at
+    most two factors with N != 0.
     """
-    c = Fraction(chi)
-    lin = []
+    den, lin = 1, []
     for p in pairs:
         if p == (0, 0):
             raise ValueError("factor (0, 0)")
         if p[0]:
             lin.append(p)
         else:
-            c /= p[1]
-    if not c:
-        return [], []
+            den *= p[1]
+    if not chi:
+        return [], 1, []
     if len(lin) > 2:
         raise ValueError("a term may have at most two factors with N != 0")
-    factors = [(p, Fraction(-p[1], p[0])) for p in lin]
-    if not lin:
-        return factors, [((0, 0), c)]
-    if len(lin) == 1:
-        return factors, [((factors[0][1], 1), c / lin[0][0])]
-    (n1, nu1), (n2, nu2) = lin
-    det = n1 * nu2 - n2 * nu1
-    if det:
-        return factors, [((factors[0][1], 1), c / det), ((factors[1][1], 1), -c / det)]
-    return factors, [((factors[0][1], 2), c / (n1 * n2))]
+    factors = [(p, _root(*p)) for p in lin]
+    parts = [((r, 1), chi) for _, r in factors] or [((0, 0), chi)]
+    if len(lin) == 2:
+        (n1, nu1), (n2, nu2) = lin
+        det = n1 * nu2 - n2 * nu1
+        den *= det or n1 * n2
+        parts = [parts[0], (parts[1][0], -chi)] if det else [((factors[0][1], 2), chi)]
+    elif lin:
+        den *= lin[0][0]
+    return factors, den, parts
+
+
+def _add_ratio(acc, key, num, den):
+    """acc[key] += num / den on (numerator, denominator) pairs of integers,
+    dropping a sum that cancels."""
+    n, d = acc.pop(key, (0, den))
+    g = gcd(d, den)
+    num, den = num * (d // g) + n * (den // g), d // g * den
+    if num:
+        acc[key] = (num, den)
 
 
 def _partial_fractions_vanish(terms):
@@ -350,9 +366,10 @@ def _partial_fractions_vanish(terms):
     """
     coeff = {}
     for chi, pairs in terms:
-        for key, c in _term_fractions(chi, pairs)[1]:
-            coeff[key] = coeff.get(key, 0) + c
-    return not any(coeff.values())
+        _, den, parts = _term_fractions(chi, pairs)
+        for key, num in parts:
+            _add_ratio(coeff, key, num, den)
+    return not coeff
 
 
 def _partial_fraction_sum(terms):
@@ -370,16 +387,14 @@ def _partial_fraction_sum(terms):
     """
     if len(terms) == 1:
         return RatFuncS.from_term(*terms[0])
-    coeff = {}  # (root, order) -> nonzero coefficient of 1 / (s - root)^order
+    coeff = {}  # (root, order) -> (num, den) of the nonzero coefficient
     kept = {}   # root -> {pair: count} retained at that root
     for chi, pairs in terms:
-        factor_roots, parts = _term_fractions(chi, pairs)
+        factor_roots, den, parts = _term_fractions(chi, pairs)
         if not parts:  # the fold returns the running sum unchanged
             continue
-        for key, c in parts:
-            c += coeff.pop(key, 0)
-            if c:
-                coeff[key] = c
+        for key, num in parts:
+            _add_ratio(coeff, key, num, den)
         if not coeff:
             kept.clear()
             continue
@@ -398,14 +413,14 @@ def _partial_fraction_sum(terms):
                 order -= retained[p]
     if not coeff:
         return RatFuncS.zero()
-    const = coeff.pop((0, 0), Fraction(0))
+    const, const_den = coeff.pop((0, 0), (0, 1))
     product = [1]
     for retained in kept.values():
         for (n, nu), m in retained.items():
             for _ in range(m):
                 product = _poly_mul(product, [nu, n])
-    scale = lcm(const.denominator, *(c.denominator for c in coeff.values()))
-    num = [const.numerator * (scale // const.denominator) * x for x in product]
+    scale = lcm(const_den, *(den for _, den in coeff.values()))
+    num = [const * (scale // const_den) * x for x in product]
     for r, retained in kept.items():
         part, lead = product, 1
         factors = [p for p in sorted(retained) for _ in range(retained[p])]
@@ -414,7 +429,7 @@ def _partial_fraction_sum(terms):
             part, lead = _div_linear(part, n, nu), lead * n
             c = coeff.get((r, order))
             if c is not None:
-                k = c.numerator * (scale // c.denominator) * lead
+                k = c[0] * (scale // c[1]) * lead
                 for i, x in enumerate(part):
                     num[i] += k * x
     num = _poly_trim(num)

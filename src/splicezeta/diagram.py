@@ -55,7 +55,8 @@ class Arrowhead:
 class Diagram:
     """Immutable decorated tree with arrowheads and optional multiplicity caches."""
 
-    __slots__ = ("nodes", "edges", "arrows", "caches", "_adj")
+    # _strata: zeta's strata of this diagram, computed on first use
+    __slots__ = ("nodes", "edges", "arrows", "caches", "_adj", "_strata")
 
     def __init__(self, nodes, edges, arrows, caches=None):
         self.nodes = tuple(sorted(nodes))
@@ -74,12 +75,14 @@ class Diagram:
                 adj[e.u].append(e)
                 adj[e.v].append(e)
         self._adj = adj
+        self._strata = None
 
     @classmethod
     def _assemble(cls, nodes, edges, arrows, caches, adj):
         """A diagram sharing already sorted parts and their adjacency."""
         d = cls.__new__(cls)
         d.nodes, d.edges, d.arrows, d.caches, d._adj = nodes, edges, arrows, caches, adj
+        d._strata = None
         return d
 
     # -- structure queries -------------------------------------------------

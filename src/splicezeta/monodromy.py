@@ -16,7 +16,7 @@ from .algebra import CycloProduct, _partial_fraction_sum
 from .diagram import arrow_refined_weights, valency
 from .errors import NoFArrow, NonPolynomialDelta1
 from .refine import realizable_refine, reduce
-from .zeta import _strata, _strata_top_terms, poles
+from .zeta import _top_terms, poles
 
 
 @dataclass(frozen=True, order=True)
@@ -24,6 +24,9 @@ class EigenvalueClass:
     q: Fraction
     multiplicity: int
     source: str  # "h0" or "h1"
+
+    def __hash__(self):  # agrees with the dataclass ==, without hashing a Fraction
+        return hash((self.q.numerator, self.q.denominator, self.multiplicity, self.source))
 
 
 def _f_arrow_gcd(d):
@@ -91,9 +94,8 @@ def eigenvalues(diagram):
     for m in sorted(denominators):
         mult = d1.multiplicity(Fraction(1, m) if m > 1 else Fraction(0))
         if mult > 0:
-            for a in range(m):
-                if gcd(a, m) == 1 and (a > 0 or m == 1):
-                    out.add(EigenvalueClass(Fraction(a, m), mult, "h1"))
+            out.update(EigenvalueClass(Fraction(a, m), mult, "h1") for a in range(m)
+                       if gcd(a, m) == 1 and (a > 0 or m == 1))
     for a in range(d0_order):
         out.add(EigenvalueClass(Fraction(a, d0_order) % 1, 1, "h0"))
     return out
@@ -222,8 +224,7 @@ def mc_report(diagram, twisted_orders=()):
             recs.append(PoleRecord(s0, mult, q, via != "none", via))
         return ZetaReport(kind, z, tuple(recs))
 
-    strata = _strata(refined)  # each twisted order filters the same strata
-    zetas = [classify(_partial_fraction_sum(_strata_top_terms(strata, e)),
+    zetas = [classify(_partial_fraction_sum(_top_terms(diagram, e)),
                       "top" if e is None else f"twisted-{e}")
              for e in (None, *twisted_orders)]
     return MCReport(allowed=is_allowed(diagram), zetas=tuple(zetas))

@@ -13,6 +13,7 @@ cannot be recomputed from the side weights, round-trip losslessly.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 
 from .diagram import Arrowhead, Diagram, Edge, check_valid, validate
 from .errors import DegenerateBranch, ParseError, ValidationError
@@ -191,62 +192,47 @@ def random_diagram(seed, n_moves):
     Moves: insert the mediant node on an edge or between a node and one of
     its arrowheads (both are blow-ups and keep all edge determinants at 1),
     or attach a fresh decoration-1 arrowhead with small (N, nu), nu >= 1.
-    Every intermediate diagram is valid by construction.
+    Every intermediate diagram is valid by construction.  The moves work on
+    sorted lists, in the order a Diagram keeps, and on the product of the
+    decorations at each node, so that a move costs O(log n) comparisons.
     """
     rng = random.Random(seed)
     d = builder_monomial(rng.randint(1, 3), rng.randint(1, 3),
                          rng.randint(1, 3), rng.randint(1, 3))
+    nodes, edges, arrows = list(d.nodes), list(d.edges), list(d.arrows)
+    decs = {v: d.outer_product(v) for v in nodes}  # node -> product of its decorations
+    k = 1
+
+    def blow_up(*links):
+        """A fresh node with an edge to each (node, its decoration, the new node's)."""
+        nonlocal k
+        while f"b{k}" in decs:
+            k += 1
+        name, decs[f"b{k}"] = f"b{k}", 1
+        insort(nodes, name)
+        for v, dv, dn in links:
+            insort(edges, Edge(v, name, dv, dn) if v < name else Edge(name, v, dn, dv))
+            decs[name] *= dn
+        return name
+
     for _ in range(n_moves):
         move = rng.random()
-        if move < 0.45 and d.edges:
-            d = _blow_up_edge(d, rng.choice(list(d.edges)))
+        if move < 0.45 and edges:
+            e = rng.choice(edges)
+            out_u, out_v = decs[e.u] // e.du, decs[e.v] // e.dv
+            if det2((e.du, out_u), (out_v, e.dv)) == 1:
+                del edges[bisect_left(edges, e)]
+                blow_up((e.u, e.du, out_u + e.dv), (e.v, e.dv, e.du + out_v))
         elif move < 0.8:
-            d = _blow_up_arrow(d, rng.choice(list(d.arrows)))
+            a = rng.choice(arrows)
+            if a.dec == 1:  # the mediant of (1, outer) and (0, 1) is (1, outer + 1)
+                del arrows[bisect_left(arrows, a)]
+                insort(arrows, Arrowhead(blow_up((a.node, 1, decs[a.node] + 1)), 1, a.N, a.nu))
         else:
-            v = rng.choice(list(d.nodes))
-            n_val = rng.randint(0, 3)
-            nu_val = rng.randint(1, 4)
-            d = Diagram(d.nodes, d.edges,
-                        list(d.arrows) + [Arrowhead(v, 1, n_val, nu_val)])
+            v = rng.choice(nodes)
+            insort(arrows, Arrowhead(v, 1, rng.randint(0, 3), rng.randint(1, 4)))
+    d = Diagram(nodes, edges, arrows)
     violations = validate(d)
     if violations:
         raise ValidationError(violations)
     return d
-
-
-def _fresh(d, base):
-    names = set(d.nodes)
-    k = 1
-    while f"{base}{k}" in names:
-        k += 1
-    return f"{base}{k}"
-
-
-def _blow_up_edge(d, e):
-    from .diagram import cone_vector
-
-    w_l = cone_vector(d, e, e.u)
-    dv, outer = cone_vector(d, e, e.v)
-    w_r = (outer, dv)
-    if det2(w_l, w_r) != 1:
-        return d
-    mid = (w_l[0] + w_r[0], w_l[1] + w_r[1])
-    name = _fresh(d, "b")
-    edges = [f for f in d.edges if f is not e]
-    edges.append(Edge(e.u, name, e.du, mid[1]))
-    edges.append(Edge(name, e.v, mid[0], e.dv))
-    return Diagram(list(d.nodes) + [name], edges, d.arrows)
-
-
-def _blow_up_arrow(d, arrow):
-    if arrow.dec != 1:
-        return d
-    v = arrow.node
-    outer = d.outer_product(v, exclude_arrow=arrow)
-    name = _fresh(d, "b")
-    # mediant of (1, outer) and (0, 1) is (1, outer + 1)
-    edges = list(d.edges) + [Edge(v, name, 1, outer + 1)]
-    arrows = list(d.arrows)
-    arrows.remove(arrow)
-    arrows.append(Arrowhead(name, 1, arrow.N, arrow.nu))
-    return Diagram(list(d.nodes) + [name], edges, arrows)

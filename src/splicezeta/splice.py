@@ -21,7 +21,6 @@ from .diagram import (
     ensure_cached,
 )
 from .errors import DegenerateDenominator, NotAnEdge
-from .refine import realizable_refine
 from .zeta import L_MINUS_1_SQ, ZetaExpr, _add_strata, _top_terms, motivic_zeta
 
 
@@ -88,7 +87,7 @@ def verify_splice_motivic(diagram, edge_key):
 
 def verify_splice_top(diagram, edge_key):
     """Exact check of the topological specialization of the splice identity."""
-    return _top_identity(_top_terms(realizable_refine(diagram)), splice(diagram, edge_key))
+    return _top_identity(_top_terms(diagram), splice(diagram, edge_key))
 
 
 def _motivic_identity(whole, r):
@@ -105,7 +104,7 @@ def _top_identity(whole, r):
     the halves' negated terms and the correction they must sum to zero."""
     terms = list(whole)
     for half in (r.left, r.right):
-        terms += [(-chi, pairs) for chi, pairs in _top_terms(realizable_refine(half))]
+        terms += [(-chi, pairs) for chi, pairs in _top_terms(half)]
     m, m_prime, i, i_prime = r.data.as_tuple()
     _check_correction(m, m_prime, i, i_prime)
     terms.append((1, ((m, i), (m_prime, i_prime))))

@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heapreplace
+from math import gcd, prod
+from operator import mul
 
 from .algebra import Poly2, _div_linear, _partial_fraction_sum
 from .errors import DegenerateDenominator, PoleAtOne
@@ -204,6 +206,15 @@ def _over_l_minus_1(coeff):
     return Poly2(out) if len(out) <= len(coeff.terms) else None
 
 
+def _refined_strata(diagram):
+    """_strata of the realizable refinement, computed once per refined diagram
+    (the refinement plan hands out the same one for the same input)."""
+    d = realizable_refine(diagram)
+    if d._strata is None:
+        d._strata = _strata(d)
+    return d._strata
+
+
 def _strata(d):
     """(pair(v), full valency) per node, pair lists for edges and arrows."""
     table = {v: tuple(d.cache(v)) for v in d.nodes}
@@ -232,9 +243,11 @@ def motivic_zeta(diagram):
 def _add_strata(acc, diagram, sign=1):
     """Add sign times the terms of motivic_zeta(diagram) to the term dict acc
     (as ZetaExpr.terms, but cancelled terms stay with coefficient 0)."""
-    nodes, edges, arrows = _strata(realizable_refine(diagram))
+    nodes, edges, arrows = _refined_strata(diagram)
     for pair, delta in nodes:
-        _add_term(acc, (pair,), L_MINUS_1 * Poly2({(1, 0): sign, (0, 0): (1 - delta) * sign}))
+        # (L - 1) * (L + 1 - delta)
+        _add_term(acc, (pair,), Poly2({(2, 0): sign, (1, 0): -delta * sign,
+                                       (0, 0): (delta - 1) * sign}))
     coeff = L_MINUS_1_SQ * sign
     for p, q in edges + arrows:
         _add_term(acc, (p, q) if p <= q else (q, p), coeff)
@@ -246,16 +259,11 @@ def _add_term(acc, key, coeff):
     acc[key] = coeff if old is None else old + coeff
 
 
-def _top_terms(d, order=None):
+def _top_terms(diagram, order=None):
     """(chi, (N, nu) pairs) terms of the (possibly twisted) topological zeta."""
-    return _strata_top_terms(_strata(d), order)
-
-
-def _strata_top_terms(strata, order=None):
-    """_top_terms of the refinement whose _strata are given."""
     if order is not None and order < 1:
         raise ValueError("order must be a positive integer")
-    nodes, edges, arrows = strata
+    nodes, edges, arrows = _refined_strata(diagram)
     if order is not None:
         nodes = [(pair, delta) for pair, delta in nodes if pair[1] % order == 0]
         edges = [(p, q) for p, q in edges if not (p[1] % order or q[1] % order)]
@@ -266,42 +274,43 @@ def _strata_top_terms(strata, order=None):
 
 def top_zeta(diagram):
     """Topological zeta function, fully cancelled."""
-    return _partial_fraction_sum(_top_terms(realizable_refine(diagram)))
+    return _partial_fraction_sum(_top_terms(diagram))
 
 
 def twisted_top_zeta(diagram, order):
     """Topological zeta restricted to strata whose N's are divisible by order."""
-    return _partial_fraction_sum(_top_terms(realizable_refine(diagram), order))
-
-
-def _binomials(a, k):
-    """C(a, 0), ..., C(a, k): the expansion of L^a = (1 + eps)^a to order k."""
-    out = [1]
-    for r in range(1, k + 1):
-        out.append(out[-1] * (a - r + 1) // r)
-    return out
+    return _partial_fraction_sum(_top_terms(diagram, order))
 
 
 def _laurent_at_one(coeff, exps):
-    """Orders -k..0 in eps = L - 1 of coeff(L) / prod (L^m - 1).
+    """Orders -k..0 in eps = L - 1 of coeff(L) / prod (L^m - 1), k = len(exps).
 
-    Entry j of the result is the coefficient of eps^(j - k), k = len(exps).
+    Entry j of the result is the coefficient of eps^(j - k) times D^(j + 1),
+    an integer, for D = prod m.
     """
     k = len(exps)
     num = [0] * (k + 1)
     for (a, b), c in coeff.terms.items():
         if b:
             raise ValueError("coefficients must be univariate in L")
-        for r, x in enumerate(_binomials(a, k)):
-            num[r] += c * x
-    den = [1] + [0] * k
+        for r in range(k + 1):  # c * C(a, r), from L^a = (1 + eps)^a
+            num[r] += c
+            c = c * (a - r) // (r + 1)
+    den = [1]
     for m in exps:
-        g = _binomials(m, k + 1)[1:]  # (L^m - 1) / eps
-        den = [sum(den[i] * g[j - i] for i in range(j + 1)) for j in range(k + 1)]
-    out = []
+        g, x = [], 1
+        for j in range(k + 1):  # C(m, j + 1), from (L^m - 1) / eps
+            x = x * (m - j) // (j + 1)
+            g.append(x)
+        den = g if len(den) == 1 else [sum(map(mul, den[:j + 1], g[j::-1]))
+                                       for j in range(k + 1)]
+    d, out = den[0], []
     for j in range(k + 1):
-        out.append(Fraction(num[j] - sum(out[i] * den[j - i] for i in range(j)),
-                            den[0]))
+        # out[j] / d^(j + 1) = (num[j] - sum_i den[j - i] out[i] / d^(i + 1)) / d
+        y = num[j]
+        for i in range(j):
+            y = y * d - out[i] * den[j - i]
+        out.append(y)
     return out
 
 
@@ -312,20 +321,27 @@ def specialize_chi_top(zeta, n):
     with m = nu + n*N.  The value at L = 1 is the order-0 coefficient of the
     sum of the terms' Laurent expansions in eps = L - 1 (the Denef-Loeser
     limit), so no denominators are cleared; orders below 0 must cancel in
-    the sum.
+    the sum, which is kept over one integer denominator.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    orders = {}
+    orders, common = {}, 1  # order -> numerator over the common denominator
     for key, coeff in zeta.terms.items():
         exps = [nu + n * nn for (nu, nn) in key]
         if 0 in exps:
             raise PoleAtOne(f"pair {key[exps.index(0)]} degenerates at T = L^-{n}")
+        d = prod(exps)
+        top = abs(d) ** (len(key) + 1)
+        if common % top:
+            grow = top // gcd(common, top)
+            common *= grow
+            orders = {order: c * grow for order, c in orders.items()}
         for j, c in enumerate(_laurent_at_one(coeff, exps)):
-            orders[j - len(key)] = orders.get(j - len(key), 0) + c
+            order = j - len(key)
+            orders[order] = orders.get(order, 0) + c * (common // d ** (j + 1))
     if any(c for order, c in orders.items() if order < 0):
         raise PoleAtOne("the specialization has a pole at L = 1")
-    return Fraction(orders.get(0, 0))
+    return Fraction(orders.get(0, 0), common)
 
 
 def poles(ratfunc):

@@ -8,7 +8,10 @@ references reuse the package's algebra: `fold_sum` adds one term at a time
 with `rat_add`, which cancels and normalises after each step and leaves the
 representation the one-pass top-zeta sum must keep, and `cleared_numerator`
 clears the denominators of a `ZetaExpr` with `Poly2` products, the verdict
-the T-adic equality test must match.
+the T-adic equality test must match.  The `Fraction` references of the
+partial-fraction and Euler-specialization kernels (`term_fractions`,
+`partial_fractions_vanish`, `specialize_chi_top`) are the earlier versions of
+the package's integer ones, kept to test that those agree with them.
 """
 
 from fractions import Fraction
@@ -18,6 +21,7 @@ import sympy as sp
 
 from splicezeta.algebra import Poly2, RatFuncS, _poly_mul, _poly_trim
 from splicezeta.diagram import Arrowhead, edge_sides
+from splicezeta.errors import PoleAtOne
 
 
 def det(a, b):
@@ -245,6 +249,94 @@ def _normalize(num, den, scale):
         num, scale = [-c for c in num], -scale
     g = gcd(*num, scale)
     return RatFuncS([c // g for c in num], den.items(), scale // g)
+
+
+# ---------------------------------------------------------------------------
+# Partial fractions and the Euler specialization on Fractions.
+# ---------------------------------------------------------------------------
+
+def term_fractions(chi, pairs):
+    """The (pair, root) of each factor with N != 0 of chi / prod (N*s + nu),
+    and the term's partial fractions ((root, order), c) for
+    c / (s - root)^order, with Fraction roots and coefficients and the key
+    (0, 0) for the constant; a zero term has none."""
+    c = Fraction(chi)
+    lin = []
+    for p in pairs:
+        if p == (0, 0):
+            raise ValueError("factor (0, 0)")
+        if p[0]:
+            lin.append(p)
+        else:
+            c /= p[1]
+    if not c:
+        return [], []
+    if len(lin) > 2:
+        raise ValueError("a term may have at most two factors with N != 0")
+    factors = [(p, Fraction(-p[1], p[0])) for p in lin]
+    if not lin:
+        return factors, [((0, 0), c)]
+    if len(lin) == 1:
+        return factors, [((factors[0][1], 1), c / lin[0][0])]
+    (n1, nu1), (n2, nu2) = lin
+    det = n1 * nu2 - n2 * nu1
+    if det:
+        return factors, [((factors[0][1], 1), c / det), ((factors[1][1], 1), -c / det)]
+    return factors, [((factors[0][1], 2), c / (n1 * n2))]
+
+
+def partial_fractions_vanish(terms):
+    """Whether the sum of chi / prod (N*s + nu) over (chi, pairs) terms is 0."""
+    coeff = {}
+    for chi, pairs in terms:
+        for key, c in term_fractions(chi, pairs)[1]:
+            coeff[key] = coeff.get(key, 0) + c
+    return not any(coeff.values())
+
+
+def _binomials(a, k):
+    out = [1]
+    for r in range(1, k + 1):
+        out.append(out[-1] * (a - r + 1) // r)
+    return out
+
+
+def laurent_at_one(coeff, exps):
+    """Orders -k..0 in eps = L - 1 of coeff(L) / prod (L^m - 1) as Fractions;
+    entry j is the coefficient of eps^(j - k), k = len(exps)."""
+    k = len(exps)
+    num = [0] * (k + 1)
+    for (a, b), c in coeff.terms.items():
+        if b:
+            raise ValueError("coefficients must be univariate in L")
+        for r, x in enumerate(_binomials(a, k)):
+            num[r] += c * x
+    den = [1] + [0] * k
+    for m in exps:
+        g = _binomials(m, k + 1)[1:]  # (L^m - 1) / eps
+        den = [sum(den[i] * g[j - i] for i in range(j + 1)) for j in range(k + 1)]
+    out = []
+    for j in range(k + 1):
+        out.append(Fraction(num[j] - sum(out[i] * den[j - i] for i in range(j)),
+                            den[0]))
+    return out
+
+
+def specialize_chi_top(zeta, n):
+    """Value at L = 1 of the motivic zeta at T = L^(-n), summing the terms'
+    Laurent expansions as Fractions; raises PoleAtOne like the package."""
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    orders = {}
+    for key, coeff in zeta.terms.items():
+        exps = [nu + n * nn for (nu, nn) in key]
+        if 0 in exps:
+            raise PoleAtOne(f"pair {key[exps.index(0)]} degenerates at T = L^-{n}")
+        for j, c in enumerate(laurent_at_one(coeff, exps)):
+            orders[j - len(key)] = orders.get(j - len(key), 0) + c
+    if any(c for order, c in orders.items() if order < 0):
+        raise PoleAtOne("the specialization has a pole at L = 1")
+    return Fraction(orders.get(0, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from splicezeta.diagram import Arrowhead, Diagram
 from splicezeta import monodromy
 from splicezeta.errors import CacheMismatch, NoFArrow, NonPolynomialDelta1
 from splicezeta.monodromy import (
+    EigenvalueClass,
     auto_twisted_orders,
     delta0,
     delta1,
@@ -17,7 +18,14 @@ from splicezeta.monodromy import (
     monodromy_zeta,
 )
 from splicezeta.refine import reduce, refine_all_arrows
-from splicezeta.sdio import builder_cusp, builder_monomial, builder_nv_example2, random_diagram
+from splicezeta.sdio import (
+    EXAMPLES,
+    builder_cusp,
+    builder_monomial,
+    builder_nv_example2,
+    example,
+    random_diagram,
+)
 from splicezeta.zeta import motivic_zeta, poles, top_zeta
 
 from oracles import expand_cyclo
@@ -87,6 +95,17 @@ def test_delta1_rejects_inconsistent_cached_diagram():
 def test_eigenvalues_cusp():
     eigs = eigenvalues(builder_cusp(0, 0))
     assert {e.q for e in eigs} == {Fraction(0), Fraction(1, 6), Fraction(5, 6)}
+
+
+def test_eigenvalue_class_hash_agrees_with_equality():
+    classes = [c for name in sorted(EXAMPLES) for c in eigenvalues(example(name))]
+    assert len(classes) > 100
+    for a in classes:
+        twin = EigenvalueClass(Fraction(a.q.numerator, a.q.denominator), a.multiplicity,
+                               a.source)
+        assert twin == a and hash(twin) == hash(a)
+        assert all(hash(a) == hash(b) for b in classes if a == b)
+    assert len(set(classes)) == len({(c.q, c.multiplicity, c.source) for c in classes})
 
 
 def test_zero_class_always_eigenvalue():
