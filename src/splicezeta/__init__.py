@@ -5,7 +5,6 @@ from .diagram import (
     Arrowhead,
     Diagram,
     Edge,
-    MultTable,
     SpliceData,
     cone_vector,
     edge_determinant,

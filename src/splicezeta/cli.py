@@ -30,7 +30,7 @@ from .monodromy import (
     monodromy_zeta,
 )
 from .refine import realizable_refine, reduce
-from .splice import SpliceResult, _motivic_identity, _top_identity, splice
+from .splice import _motivic_identity, _top_identity, splice
 from .zeta import _top_terms, motivic_zeta, poles, top_zeta, twisted_top_zeta
 
 
@@ -168,19 +168,10 @@ def _edges_to_check(d, edge):
 def cmd_verify_splice(args, out):
     d = load_diagram(args.input)
     all_ok = True
-    whole = None
     for key in _edges_to_check(d, args.edge):
         r = splice(d, key)
-        # after the first splice has checked its edge; never for a diagram
-        # without edges
-        if whole is None:
-            refined = realizable_refine(d)
-            whole = motivic_zeta(refined), _top_terms(refined)
-        # refining a refinement inserts nothing, so each half refines once
-        r = SpliceResult(realizable_refine(r.left), realizable_refine(r.right),
-                         r.data)
-        ok_m = _motivic_identity(whole[0], r)
-        ok_t = _top_identity(whole[1], r)
+        ok_m = _motivic_identity(d, r)
+        ok_t = _top_identity(_top_terms(d), r)
         all_ok = all_ok and ok_m and ok_t
         if args.machine:
             out.write(f"edge={key[0]},{key[1]} motivic={'ok' if ok_m else 'FAIL'} "
@@ -193,7 +184,7 @@ def cmd_verify_splice(args, out):
 
 
 def cmd_monodromy(args, out):
-    d = realizable_refine(load_diagram(args.input))
+    d = load_diagram(args.input)
     z = monodromy_zeta(d)
     d0 = delta0(d)
     d1 = delta1(d)
@@ -238,8 +229,7 @@ def cmd_allowed(args, out):
 
 
 def cmd_mc_check(args, out):
-    loaded = load_diagram(args.input)
-    d = realizable_refine(loaded)
+    d = load_diagram(args.input)
     if args.twisted_orders == "auto":
         orders = auto_twisted_orders(d, bound=args.max_order)
     elif args.twisted_orders:
@@ -252,11 +242,8 @@ def cmd_mc_check(args, out):
     else:
         orders = []
     rep = mc_report(d, orders)
-    # refining a decorated arrowhead at a node adds a leg to its star, so
-    # the verdict is read on the diagram as given
-    allowed = is_allowed(loaded).allowed
     if args.machine:
-        out.write(f"allowed={'yes' if allowed else 'no'}\n")
+        out.write(f"allowed={'yes' if rep.allowed else 'no'}\n")
         for z in rep.zetas:
             out.write(f"zeta kind={z.kind} value={z.zeta.render(compact=True)}\n")
             for p in z.poles:
@@ -264,7 +251,7 @@ def cmd_mc_check(args, out):
                           f"mult={p.multiplicity} class={_frac(p.eigenvalue_class)} "
                           f"eigenvalue={'yes' if p.induces_eigenvalue else 'no'}\n")
     else:
-        out.write(f"allowed form: {'yes' if allowed else 'no'}\n")
+        out.write(f"allowed form: {'yes' if rep.allowed else 'no'}\n")
         for z in rep.zetas:
             out.write(f"{z.kind}: {z.zeta}\n")
             if not z.poles:
@@ -289,7 +276,13 @@ def cmd_example(args, out):
     return 0
 
 
+# gen's time grows faster than linearly in the move count, so the count is bounded
+MAX_MOVES = 10_000
+
+
 def cmd_gen(args, out):
+    if not 0 <= args.moves <= MAX_MOVES:
+        raise InputError(f"--moves wants a count from 0 to {MAX_MOVES}")
     d = sdio.random_diagram(args.seed, args.moves)
     if args.reduce:
         d = reduce(d)

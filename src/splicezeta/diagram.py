@@ -148,15 +148,6 @@ class Diagram:
                      frozenset(self.caches.items())))
 
 
-class MultTable(dict):
-    """Node -> (N, nu) with (N, nu) never (0, 0)."""
-
-    def __setitem__(self, k, v):
-        if tuple(v) == (0, 0):
-            raise DegenerateDenominator(f"(N, nu) = (0, 0) at node {k}")
-        super().__setitem__(k, tuple(v))
-
-
 @dataclass(frozen=True)
 class SpliceData:
     """Multiplicity pairs of the two sides of an edge: (M, i) right, (M', i') left."""
@@ -357,11 +348,15 @@ def multiplicities(d):
     (see side_weights).  Existing caches are verified against the computed
     values.
     """
-    table = _checked_side_weights(d)[0]
-    out = MultTable()
-    for v in d.nodes:
-        out[v] = table[v]
-    return out
+    return nonzero_pairs(_checked_side_weights(d)[0])
+
+
+def nonzero_pairs(table):
+    """table, a node -> (N, nu) map, after refusing a node with (0, 0)."""
+    for v, pair in table.items():
+        if pair == (0, 0):
+            raise DegenerateDenominator(f"(N, nu) = (0, 0) at node {v}")
+    return table
 
 
 def _checked_side_weights(d):
@@ -388,7 +383,7 @@ def cached_table(d):
             raise MissingCache(
                 f"nodes {missing} have no cached multiplicities and the "
                 f"diagram carries decorated arrowheads")
-        return MultTable({v: tuple(d.cache(v)) for v in d.nodes})
+        return nonzero_pairs({v: tuple(d.cache(v)) for v in d.nodes})
     return multiplicities(d)
 
 
@@ -403,8 +398,8 @@ def ensure_cached(d):
 
 
 def arrow_refined_weights(d):
-    """(plain, weights): d with its decorated arrowheads refined away, and
-    the far-side weights of plain (see side_weights).
+    """(plain, table, weights): d with its decorated arrowheads refined away,
+    and the multiplicities and far-side weights of plain (see side_weights).
 
     plain is d itself when every arrowhead has decoration 1; otherwise d
     must be fully cached, and plain carries the interpolated caches.  Those
@@ -415,7 +410,7 @@ def arrow_refined_weights(d):
         from .refine import refine_all_arrows
 
         d = refine_all_arrows(ensure_cached(d))
-    return d, _checked_side_weights(d)[1]
+    return (d, *_checked_side_weights(d))
 
 
 def splice_data(d, e):
@@ -424,7 +419,7 @@ def splice_data(d, e):
     The right side is the one containing e.v.  Decorated arrowheads are
     refined away first (see arrow_refined_weights).
     """
-    return SpliceData.across(arrow_refined_weights(d)[1], e.u, e.v)
+    return SpliceData.across(arrow_refined_weights(d)[2], e.u, e.v)
 
 
 def cone_vector(d, e, endpoint):

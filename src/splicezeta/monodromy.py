@@ -146,7 +146,7 @@ def is_allowed(diagram):
     come from one side-weight pass, after refining decorated arrowheads.
     """
     d = reduce(diagram)
-    weights = arrow_refined_weights(d)[1]
+    weights = arrow_refined_weights(d)[2]
     arrow_ok = all((a.N, a.nu) != (0, 0) for a in d.arrows)
     stars = []
     verdict = arrow_ok
@@ -203,6 +203,8 @@ def mc_report(diagram, twisted_orders=()):
     origin (h0 or h1) or an eigenvalue of the local monodromy at a generic
     point of a branch of multiplicity N >= 2, the way a function with
     non-reduced components contributes poles like -1/2 for a square factor.
+    The allowed-form verdict is read on the diagram as given: refining a
+    decorated arrowhead at a node adds a leg to its star.
     """
     refined = realizable_refine(diagram)
     d1 = _delta1_refined(refined)

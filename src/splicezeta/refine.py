@@ -317,7 +317,8 @@ def realizable_refine(d):
     The chains depend only on the skeleton (nodes, edges, and the arrowheads'
     nodes and decorations): the last _PLAN_BOUND skeletons keep theirs, and
     each call replays them on its own caches, with every check above.  An
-    input equal to its skeleton's previous input gets the previous result.
+    input equal to its skeleton's previous input gets the previous result,
+    and so does an input whose result equals it, after those checks.
     """
     key = (d.nodes, d.edges, tuple((a.node, a.dec) for a in d.arrows))
     plan = _plans.get(key)
@@ -339,6 +340,8 @@ def realizable_refine(d):
     out = Diagram._assemble(plan.nodes, plan.edges, tuple(arrows), caches, plan.adj)
     if plan.moved:
         multiplicities(out)
+    if out == plan.last[1]:
+        out = plan.last[1]  # and so its strata
     plan.last = (d, out)
     return out
 

@@ -18,10 +18,10 @@ from .diagram import (
     arrow_refined_weights,
     check_valid,
     edge_sides,
-    ensure_cached,
+    nonzero_pairs,
 )
 from .errors import DegenerateDenominator, NotAnEdge
-from .zeta import L_MINUS_1_SQ, ZetaExpr, _add_strata, _top_terms, motivic_zeta
+from .zeta import L_MINUS_1_SQ, ZetaExpr, _add_strata, _add_term, _top_terms
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,12 @@ def splice(diagram, edge_key):
 
     `edge_key` is a pair of node ids.  Decorated arrowheads are refined away
     internally before the side weights are computed, so the result is well
-    defined for spliced diagrams as well.
+    defined for spliced diagrams as well.  One side-weight pass gives the
+    halves' caches and the splice data.
     """
     u, v = edge_key
-    d, weights = arrow_refined_weights(ensure_cached(diagram))
+    d, table, weights = arrow_refined_weights(diagram)
+    d = d.with_caches(nonzero_pairs(table))
     e = d.edge_between(u, v)
     if e is None:
         raise NotAnEdge(f"{u}-{v} is not a node-edge")
@@ -82,7 +84,7 @@ def _check_correction(m, m_prime, i, i_prime):
 
 def verify_splice_motivic(diagram, edge_key):
     """Exact check of Z(G) = Z(G_L) + Z(G_R) - correction."""
-    return _motivic_identity(motivic_zeta(diagram), splice(diagram, edge_key))
+    return _motivic_identity(diagram, splice(diagram, edge_key))
 
 
 def verify_splice_top(diagram, edge_key):
@@ -90,10 +92,15 @@ def verify_splice_top(diagram, edge_key):
     return _top_identity(_top_terms(diagram), splice(diagram, edge_key))
 
 
-def _motivic_identity(whole, r):
-    """Whether whole, the motivic zeta of the spliced diagram, fits r: the
-    difference Z(G) + correction - Z(G_L) - Z(G_R) is built and tested once."""
-    diff = (whole + correction_term(*r.data.as_tuple())).terms
+def _motivic_identity(diagram, r):
+    """Whether r, a splice of diagram, fits the identity: the difference
+    Z(G) + correction - Z(G_L) - Z(G_R) is summed in one term dict and
+    tested once."""
+    diff = {}
+    _add_strata(diff, diagram)
+    m, m_prime, i, i_prime = r.data.as_tuple()
+    _check_correction(m, m_prime, i, i_prime)
+    _add_term(diff, tuple(sorted(((i, m), (i_prime, m_prime)))), L_MINUS_1_SQ)
     _add_strata(diff, r.left, -1)
     _add_strata(diff, r.right, -1)
     return ZetaExpr(diff).is_zero()

@@ -76,11 +76,10 @@ class ZetaExpr:
     def __eq__(self, other):
         if not isinstance(other, ZetaExpr):
             return NotImplemented
-        diff = self - other
-        return not diff.terms or _expansion_vanishes(diff)
+        return (self - other).is_zero()
 
     def is_zero(self):
-        return self == ZetaExpr.zero()
+        return not self.terms or _expansion_vanishes(self)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0])

@@ -406,6 +406,8 @@ def command_table(tmp_path):
         (["verify-splice", "--edge", "n1", "zz", "example:nv2"], 2),
         # usage errors: argparse exits 2
         ([], 2), (["frobnicate"], 2), (["gen"], 2), (["splice", "example:nv2"], 2),
+        (["gen", "--seed", "1", "--moves", "-5"], 2),
+        (["gen", "--seed", "1", "--moves", str(cli.MAX_MOVES + 1)], 2),
         (["zeta", "--frobnicate", "example:cusp"], 2),
         (["zeta", "--kind", "nope", "example:cusp"], 2),
     ]

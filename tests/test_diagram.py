@@ -4,18 +4,20 @@ from splicezeta.diagram import (
     Arrowhead,
     Diagram,
     Edge,
+    cached_table,
     cone_vector,
     edge_determinant,
     edge_sides,
+    ensure_cached,
     multiplicities,
     splice_data,
     valency,
     validate,
     validation_warnings,
 )
-from splicezeta.errors import CacheMismatch, DecoratedArrowPresent
+from splicezeta.errors import CacheMismatch, DecoratedArrowPresent, DegenerateDenominator
 from splicezeta.monodromy import is_allowed
-from splicezeta.refine import det2, reduce
+from splicezeta.refine import det2, realizable_refine, reduce
 from splicezeta.sdio import (
     EXAMPLES,
     builder_cusp,
@@ -193,6 +195,18 @@ def test_decorated_arrow_refinement_checks_caches():
                  lambda: splice(d, ("u", "v")), lambda: top_zeta(d)):
         with pytest.raises(CacheMismatch):
             call()
+
+
+def test_zero_pair_cache_is_refused_where_caches_are_taken():
+    # a decorated arrowhead makes the caches the input, so the (0, 0) at v
+    # must be refused before refining interpolates from it
+    d = Diagram(["v"], [], [Arrowhead("v", 2, 1, 1), Arrowhead("v", 1, 0, 3)],
+                {"v": (0, 0)})
+    assert validate(d) == []
+    for call in (cached_table, ensure_cached, realizable_refine, top_zeta, is_allowed,
+                 lambda d: splice(d, ("v", "v"))):
+        with pytest.raises(DegenerateDenominator, match=r"^\(N, nu\) = \(0, 0\) at node v$"):
+            call(d)
 
 
 def test_splice_data_nv2():

@@ -1,5 +1,6 @@
 """The integer partial-fraction and Euler-specialization kernels against
-their Fraction references, and the strata each refinement computes once."""
+their Fraction references, the strata each refinement computes once, and
+the side-weight passes each command makes."""
 
 import contextlib
 import functools
@@ -11,7 +12,7 @@ from math import prod
 import pytest
 
 import oracles
-from splicezeta import refine, zeta
+from splicezeta import diagram, refine, zeta
 from splicezeta.algebra import Poly2, _partial_fractions_vanish, _term_fractions
 from splicezeta.cli import main
 from splicezeta.diagram import Arrowhead, Diagram
@@ -19,7 +20,7 @@ from splicezeta.errors import DegenerateDenominator, PoleAtOne
 from splicezeta.monodromy import mc_report
 from splicezeta.refine import realizable_refine, reduce
 from splicezeta.sdio import EXAMPLES, builder_nv_example2, example, random_diagram
-from splicezeta.splice import splice
+from splicezeta.splice import splice, verify_splice_motivic
 from splicezeta.zeta import (
     ZetaExpr,
     _laurent_at_one,
@@ -221,3 +222,49 @@ def test_degenerate_strata_raise_on_every_call(strata_calls, tmp_path):
         for argv in (["zeta", "--kind", "top"], ["zeta", "--kind", "motivic"],
                      ["mc-check", "--twisted-orders", "auto"]):
             assert run_quietly([*argv, str(path)]) == 2
+
+
+# ---------------------------------------------------------------------------
+# One side-weight pass per splice.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def side_weight_calls(monkeypatch):
+    """Counts diagram.side_weights calls, from an empty plan memo."""
+    calls = []
+
+    def counted(d, _original=diagram.side_weights):
+        calls.append(d)
+        return _original(d)
+
+    monkeypatch.setattr(diagram, "side_weights", counted)
+    refine._plans.clear()
+    return calls
+
+
+@pytest.mark.parametrize("argv, passes", [
+    (["splice", "example:nv2", "--edge", "n3", "n4"], 1),
+    (["monodromy", "example:nv2"], 1),
+    # one refines the diagram; the allowed-form verdict reads the diagram as
+    # given, whose stars differ from the refinement's
+    (["mc-check", "--twisted-orders", "auto", "example:nv2"], 2),
+])
+def test_side_weight_passes_per_command(side_weight_calls, argv, passes):
+    assert run_quietly(argv) == 0
+    assert len(side_weight_calls) == passes
+
+
+def test_verify_splice_motivic_builds_one_zeta_expr(monkeypatch):
+    built = []
+
+    def counted(self, terms=None, _original=ZetaExpr.__init__):
+        built.append(terms)
+        _original(self, terms)
+
+    d = example("nv2")
+    monkeypatch.setattr(ZetaExpr, "__init__", counted)
+    for e in d.edges:
+        built.clear()
+        assert verify_splice_motivic(d, (e.u, e.v))
+        assert len(built) == 1
