@@ -9,7 +9,7 @@ and cyclotomic products recorded as integer exponent tables.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 # ---------------------------------------------------------------------------
 # Sparse polynomials in (L, T).
@@ -453,6 +453,12 @@ def _div_linear(a, n, nu):
 # ---------------------------------------------------------------------------
 
 
+def _divisors(n):
+    """The positive divisors of n >= 1, found up to its square root."""
+    low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return low + [n // d for d in reversed(low) if d * d != n]
+
+
 class CycloProduct:
     """Finite exponent table n -> e_n for the product of (t^n - 1)^{e_n}."""
 
@@ -491,11 +497,7 @@ class CycloProduct:
 
     def is_polynomial(self):
         """True when every root has nonnegative total multiplicity."""
-        divisors = set()
-        for n in self.exps:
-            for d in range(1, n + 1):
-                if n % d == 0:
-                    divisors.add(d)
+        divisors = {d for n in self.exps for d in _divisors(n)}
         return all(self.multiplicity(Fraction(1, d) % 1 if d > 1 else Fraction(0)) >= 0
                    for d in divisors)
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 
-from .algebra import CycloProduct, _partial_fraction_sum
+from .algebra import CycloProduct, _divisors, _partial_fraction_sum
 from .diagram import arrow_refined_weights, valency
 from .errors import NoFArrow, NonPolynomialDelta1
 from .refine import realizable_refine, reduce
@@ -86,19 +87,24 @@ def eigenvalues(diagram):
     d1 = _delta1_refined(refined)
     d0_order = _f_arrow_gcd(refined)
     out = set()
-    denominators = set()
-    for n in d1.exps:
-        for m in range(1, n + 1):
-            if n % m == 0:
-                denominators.add(m)
-    for m in sorted(denominators):
+    for m in sorted({m for n in d1.exps for m in _divisors(n)}):
         mult = d1.multiplicity(Fraction(1, m) if m > 1 else Fraction(0))
         if mult > 0:
-            out.update(EigenvalueClass(Fraction(a, m), mult, "h1") for a in range(m)
-                       if gcd(a, m) == 1 and (a > 0 or m == 1))
+            out.update(EigenvalueClass(Fraction(a, m), mult, "h1")
+                       for a in _coprime_residues(m))
     for a in range(d0_order):
         out.add(EigenvalueClass(Fraction(a, d0_order) % 1, 1, "h0"))
     return out
+
+
+def _coprime_residues(m):
+    """The a in [0, m) with gcd(a, m) = 1, by a sieve over the primes of m:
+    the divisors d > 1 that no smaller one has struck out."""
+    keep = bytearray([1]) * (m + 1)
+    for d in _divisors(m)[1:]:
+        if keep[d]:
+            keep[::d] = bytes(m // d + 1)
+    return compress(range(m), keep)
 
 
 def is_eigenvalue(diagram, q):
@@ -238,7 +244,5 @@ def auto_twisted_orders(diagram, bound=None):
     ns = {d.cache(v)[0] for v in d.nodes if d.cache(v)[0] >= 1}
     out = set()
     for n in ns:
-        for e in range(2, n + 1):
-            if n % e == 0 and (bound is None or e <= bound):
-                out.add(e)
+        out.update(e for e in _divisors(n) if e >= 2 and (bound is None or e <= bound))
     return sorted(out)

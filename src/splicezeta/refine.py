@@ -270,10 +270,12 @@ class _Plan:
 
     A chain (names, interior, w_l, w_r, u, v, i) interpolates between the
     caches of input nodes u and v, or of u and the (N, nu) of arrowhead i,
-    which moves to node moved[i].  last is the latest (input, result) pair.
+    which moves to node moved[i].  recent holds the latest _RECENT (input,
+    result) pairs, newest last: a whole diagram and its splice halves can
+    share one skeleton, and one slot would have them evict each other.
     """
 
-    __slots__ = ("nodes", "edges", "adj", "chains", "moved", "last")
+    __slots__ = ("nodes", "edges", "adj", "chains", "moved", "recent")
 
     def __init__(self, d):
         existing, edges, self.chains, self.moved = set(d.nodes), [], [], {}
@@ -297,9 +299,32 @@ class _Plan:
                 self.moved[i] = names[-1]
         tree = Diagram(existing, edges, ())
         self.nodes, self.edges, self.adj = tree.nodes, tree.edges, tree._adj
-        self.last = (None, None)
+        self.recent = []
+
+    def lookup(self, d):
+        """The result of a recent input that is d, or else equal to it."""
+        for x, out in reversed(self.recent):
+            if x is d:
+                return out
+        return next((out for x, out in reversed(self.recent) if _same_data(x, d)),
+                    None)
+
+    def remember(self, d, out):
+        """Keep (d, out), with out replaced by an equal recent result, so
+        that equal refinements are one object (and so share their strata)."""
+        out = next((y for _, y in reversed(self.recent) if _same_data(y, out)), out)
+        self.recent = (self.recent + [(d, out)])[-_RECENT:]
+        return out
 
 
+def _same_data(x, y):
+    """x == y for two inputs, or two results, of one plan: both have the
+    same nodes and edges (the skeleton's, or the refined tree's), so only
+    the arrowheads and caches can differ."""
+    return x.caches == y.caches and x.arrows == y.arrows
+
+
+_RECENT = 4
 _PLAN_BOUND = 64
 _plans = {}  # (nodes, edges, arrowhead (node, dec)s) -> _Plan, oldest first
 
@@ -317,13 +342,13 @@ def realizable_refine(d):
     The chains depend only on the skeleton (nodes, edges, and the arrowheads'
     nodes and decorations): the last _PLAN_BOUND skeletons keep theirs, and
     each call replays them on its own caches, with every check above.  An
-    input equal to its skeleton's previous input gets the previous result,
-    and so does an input whose result equals it, after those checks.
+    input equal to one of its skeleton's recent inputs gets that result,
+    and so does an input whose result equals a recent one, after those checks.
     """
     key = (d.nodes, d.edges, tuple((a.node, a.dec) for a in d.arrows))
     plan = _plans.get(key)
-    last, out = plan.last if plan is not None else (None, None)
-    if last is d or last == d:
+    out = plan.lookup(d) if plan is not None else None
+    if out is not None:
         return out
     table = cached_table(d)
     if plan is None:
@@ -340,10 +365,7 @@ def realizable_refine(d):
     out = Diagram._assemble(plan.nodes, plan.edges, tuple(arrows), caches, plan.adj)
     if plan.moved:
         multiplicities(out)
-    if out == plan.last[1]:
-        out = plan.last[1]  # and so its strata
-    plan.last = (d, out)
-    return out
+    return plan.remember(d, out)
 
 
 def reduce(d):

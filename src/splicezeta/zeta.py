@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from fractions import Fraction
-from heapq import heapify, heappop, heapreplace
 from math import gcd, prod
 from operator import mul
 
@@ -121,11 +120,19 @@ def _expansion_vanishes(z):
     Z[L^+-1][[T]].  Over the common denominator D = prod (L^nu - T^N)^m the
     numerator has T-degree at most B = sum N m + the largest T-degree of a
     coefficient, and D is a unit (its T^0 coefficient is a power of L).  So
-    z is zero exactly when its expansion vanishes up to T^B.  The degrees
-    are walked in increasing windows of about _WINDOW_KEYS monomials, which
-    bounds the memory, and a nonzero z stops at the window of its lowest term.
+    z is zero exactly when its expansion vanishes up to T^B.
     First the coefficients are divided by L - 1 while it divides them all:
     z = (L - 1) z' in a domain, so that is exact, and B does not grow.
+
+    A cone's points up to T^B lie on rows: from each corner of all steps
+    but the last, the last step (N, nu) repeated.  With a monomial of the
+    cone's coefficient a row is an arithmetic progression with step
+    (N, -nu) in (T-degree, L-exponent) and a constant coefficient.  The
+    progressions are grouped by step and by coset, (t mod N, l + nu (t div N))
+    for a point (t, l) at position t div N; on a coset their sum is a step
+    function of the position, found by a sort and sweep of the start
+    positions.  Only its nonzero stretches are added into one table of
+    points, which is all zero exactly when the expansion is.
     """
     mult = z.pairs()
     cones = defaultdict(lambda: defaultdict(int))  # apex -> L-exponent -> coeff
@@ -139,44 +146,35 @@ def _expansion_vanishes(z):
             cones[b + sum(n for _, n in steps), steps][a - sum(nu for nu, _ in steps)] += c
             top = max(top, b)
     bound = top + sum(n * m for (_, n), m in mult.items())
-    # L^l T^t is the key t * K + l, one-to-one while |l| < K / 2: a point
-    # of a cone is at most bound - lo steps away from its apex (lo, l)
-    lo = min((t for t, _ in cones), default=0)
-    K = 3 + 2 * max((abs(l) + (bound - lo) * sum(abs(nu) for nu, _ in steps)
-                     for (_, steps), mons in cones.items() for l in mons), default=0)
-    rows = []   # (T-degree of its next point, key of that point, walk id)
-    walks = []  # walk id -> (T-step of its rows, key step, monomials)
+    # coset (N, nu, t mod N, l + nu (t div N)) -> start position t div N -> sum
+    # of the coefficients of the progressions that start there
+    cosets = defaultdict(lambda: defaultdict(int))
     for (t0, steps), mons in cones.items():
-        corners = [(t0, t0 * K)]
+        corners = [(t0, 0)]  # (T-degree, L-shift) of each row's first point
         for nu, n in steps[:-1]:
-            corners = [(t + n * k, x + (n * K - nu) * k) for t, x in corners
+            corners = [(t + n * k, x - nu * k) for t, x in corners
                        for k in range((bound - t) // n + 1)]
         nu, n = steps[-1] if steps else (0, bound + 1)  # no steps: one point
-        rows += [(t, x, len(walks)) for t, x in corners]
-        walks.append((n, n * K - nu, [(l, c) for l, c in mons.items() if c]))
-    heapify(rows)
-    width = 1
-    while rows and rows[0][0] <= bound:
-        hi = min(rows[0][0] + width, bound + 1)
-        acc = defaultdict(int)
-        while rows and rows[0][0] < hi:
-            t, x, i = rows[0]
-            n, step, mons = walks[i]
-            k = (hi - 1 - t) // n + 1
-            for key in range(x, x + k * step, step):
-                for l, c in mons:
-                    acc[key + l] += c
-            if t + k * n <= bound:
-                heapreplace(rows, (t + k * n, x + k * step, i))
-            else:
-                heappop(rows)
-        if any(acc.values()):
-            return False
-        width = max(1, min(2 * width, width * _WINDOW_KEYS // max(1, len(acc))))
-    return True
-
-
-_WINDOW_KEYS = 1 << 13
+        mons = [(l, c) for l, c in mons.items() if c]
+        for t, x in corners:
+            q, r = divmod(t, n)
+            x += nu * q
+            for l, c in mons:
+                cosets[n, nu, r, x + l][q] += c
+    points = defaultdict(int)  # (T-degree, L-exponent) -> coefficient
+    for (n, nu, r, inv), starts in cosets.items():
+        # every progression of a coset runs on to its last point of T-degree
+        # at most bound, so they all end before one position, and the sum of
+        # the progressions is constant between consecutive start positions
+        qs = sorted(starts)
+        qs.append((bound - r) // n + 1)
+        run = 0
+        for i in range(len(qs) - 1):
+            run += starts[qs[i]]
+            if run:
+                for q in range(qs[i], qs[i + 1]):
+                    points[r + n * q, inv - nu * q] += run
+    return not any(points.values())
 
 
 def _without_content(coeffs):

@@ -8,7 +8,8 @@ references reuse the package's algebra: `fold_sum` adds one term at a time
 with `rat_add`, which cancels and normalises after each step and leaves the
 representation the one-pass top-zeta sum must keep, and `cleared_numerator`
 clears the denominators of a `ZetaExpr` with `Poly2` products, the verdict
-the T-adic equality test must match.  The `Fraction` references of the
+the T-adic equality test must match; `point_walk_vanishes` is that test one
+lattice point at a time, without the package's grouping into rows.  The `Fraction` references of the
 partial-fraction and Euler-specialization kernels (`term_fractions`,
 `partial_fractions_vanish`, `specialize_chi_top`) are the earlier versions of
 the package's integer ones, kept to test that those agree with them.
@@ -374,6 +375,39 @@ def cleared_numerator(z):
                 part = mul_binomial(part, nu, n)
         total = total + part
     return total
+
+
+def point_walk_vanishes(z):
+    """Whether the ZetaExpr z is zero, from its T-expansion point by point.
+
+    The reference for the row sweep behind ZetaExpr.is_zero: the same
+    degree bound, but no division by L - 1 and no grouping of rows.  Times
+    (L^nu - 1)^m for its N = 0 pairs, z is a sum of c(L, T) times products
+    of T^N / (L^nu - T^N) = sum_{k >= 1} L^(-nu k) T^(N k), and it is zero
+    exactly when every coefficient of that expansion up to T-degree
+    B = sum N m + the largest T-degree of a c vanishes.  Every lattice point
+    of every cone is added into one dict, so the cost grows with the points.
+    """
+    if not z.terms:
+        return True
+    mult = z.pairs()
+    bound = (max(b for c in z.terms.values() for _, b in c.terms)
+             + sum(n * m for (_, n), m in mult.items()))
+    acc = {}
+    for key, coeff in z.terms.items():
+        for (nu, n), m in mult.items():
+            for _ in range(0 if n else m - key.count((nu, n))):
+                coeff = coeff * Poly2({(nu, 0): 1, (0, 0): -1})
+        points = [(0, 0)]  # (T-degree, L-exponent) of each point of the cone
+        for nu, n in key:
+            if n:
+                points = [(t + n * k, l - nu * k) for t, l in points
+                          for k in range(1, (bound - t) // n + 1)]
+        for t, l in points:
+            for (a, b), c in coeff.terms.items():
+                if t + b <= bound:
+                    acc[t + b, l + a] = acc.get((t + b, l + a), 0) + c
+    return not any(acc.values())
 
 
 # ---------------------------------------------------------------------------

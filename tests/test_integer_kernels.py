@@ -255,6 +255,16 @@ def test_side_weight_passes_per_command(side_weight_calls, argv, passes):
     assert len(side_weight_calls) == passes
 
 
+def test_verify_splice_keeps_the_whole_and_its_halves_refined(side_weight_calls):
+    # the whole of nv2 and three of its halves share one skeleton, so its
+    # plan must remember several refinements for them not to evict each other
+    assert run_quietly(["verify-splice", "example:nv2"]) == 0
+    assert len(side_weight_calls) == 11
+    side_weight_calls.clear()
+    assert run_quietly(["verify-splice", "--machine", "example:nv2"]) == 0
+    assert len(side_weight_calls) == 4  # one per splice
+
+
 def test_verify_splice_motivic_builds_one_zeta_expr(monkeypatch):
     built = []
 

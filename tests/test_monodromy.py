@@ -1,8 +1,9 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from splicezeta.algebra import CycloProduct
+from splicezeta.algebra import CycloProduct, _divisors
 from splicezeta.diagram import Arrowhead, Diagram
 from splicezeta import monodromy
 from splicezeta.errors import CacheMismatch, NoFArrow, NonPolynomialDelta1
@@ -95,6 +96,13 @@ def test_delta1_rejects_inconsistent_cached_diagram():
 def test_eigenvalues_cusp():
     eigs = eigenvalues(builder_cusp(0, 0))
     assert {e.q for e in eigs} == {Fraction(0), Fraction(1, 6), Fraction(5, 6)}
+
+
+def test_divisors_and_coprime_residues_match_brute_force():
+    for n in range(1, 1200):
+        assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+        assert (list(monodromy._coprime_residues(n))
+                == [a for a in range(n) if gcd(a, n) == 1])
 
 
 def test_eigenvalue_class_hash_agrees_with_equality():

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,9 +15,10 @@ from splicezeta.sdio import (
     builder_monomial,
     builder_nv_example2,
     example,
+    parse_sd,
     random_diagram,
 )
-from splicezeta.splice import correction_term, splice
+from splicezeta.splice import correction_term, splice, verify_splice_motivic
 from splicezeta.zeta import (
     L_MINUS_1,
     ZetaExpr,
@@ -29,7 +31,7 @@ from splicezeta.zeta import (
     twisted_top_zeta,
 )
 
-from oracles import cleared_numerator, fold_sum, sum_terms_at
+from oracles import cleared_numerator, fold_sum, point_walk_vanishes, sum_terms_at
 
 L1SQ = Poly2({(2, 0): 1, (1, 0): -2, (0, 0): 1})
 
@@ -286,8 +288,8 @@ def test_zeta_expr_rejects_negative_n():
 
 
 def test_equality_agrees_with_clearing_on_splice_residuals():
-    rng = random.Random(43)
-    checked = {6: 0, 14: 0}
+    rng, off_rng = random.Random(43), random.Random(59)
+    checked, offs = {6: 0, 14: 0}, 0
     for m in checked:
         for seed in range(30):
             d = reduce(random_diagram(seed, m))
@@ -300,12 +302,18 @@ def test_equality_agrees_with_clearing_on_splice_residuals():
                     continue  # too large to clear
                 assert whole == rhs
                 assert cleared_numerator(whole - rhs).is_zero()
+                assert point_walk_vanishes(whole - rhs)
                 pair = rng.choice(sorted(whole.pairs()))
                 bumped = rhs + ZetaExpr.term(Poly2.lvar(rng.randint(-1, 2)), (pair,))
                 assert whole != bumped
                 assert not cleared_numerator(whole - bumped).is_zero()
+                assert not point_walk_vanishes(whole - bumped)
+                if (whole - rhs).terms:
+                    off = one_monomial_off(whole - rhs, off_rng)
+                    assert not off.is_zero() and not point_walk_vanishes(off)
+                    offs += 1
                 checked[m] += 1
-    assert min(checked.values()) >= 50
+    assert min(checked.values()) >= 50 and offs >= 50
 
 
 # N = 0 pairs, nu <= 0, and pairs that repeat within a term
@@ -352,6 +360,7 @@ def test_equality_agrees_with_clearing_on_synthetic_sums():
             y = y + ZetaExpr.term(random_coeff(rng), [rng.choice(EQ_PAIRS)])
         expect = cleared_numerator(x - y).is_zero()
         assert (x == y) == expect, (x, y)
+        assert point_walk_vanishes(x - y) == expect, (x, y)
         zeros += expect
     assert 100 <= zeros <= 500
 
@@ -383,8 +392,55 @@ def test_content_removal_agrees_with_clearing():
         z = ZetaExpr({key: c * content for key, c in z.terms.items()})
         expect = cleared_numerator(z).is_zero()
         assert (z == ZetaExpr.zero()) == expect, z
+        assert point_walk_vanishes(z) == expect, z
         zeros += expect
     assert 200 <= zeros <= 400
+
+
+def cusp_shape(p, q):
+    """The x^p = y^q cusp shape: one chain whose decorations are p and q."""
+    return parse_sd(f"node n1\nnode n2\nnode n3\nedge n1 n2 1 {q}\n"
+                    f"edge n2 n3 {p} 2\narrow n2 1 1 1\narrow n1 1 0 1\n"
+                    "arrow n3 1 0 1\n")
+
+
+def splice_residual(d, key):
+    """Z(G) + correction - Z(G_L) - Z(G_R) for the splice of d at key."""
+    r = splice(d, key)
+    return (motivic_zeta(d) + correction_term(*r.data.as_tuple())
+            - motivic_zeta(r.left) - motivic_zeta(r.right))
+
+
+def one_monomial_off(z, rng):
+    """z with one monomial c L^a T^b added to the coefficient of one term,
+    which is nonzero when z is zero: a single term never vanishes."""
+    key = rng.choice(sorted(z.terms))
+    terms = dict(z.terms)
+    terms[key] = terms[key] + Poly2({(rng.randint(-3, 3), rng.randint(0, 2)):
+                                     rng.choice((-2, -1, 1, 3))})
+    return ZetaExpr(terms)
+
+
+@pytest.mark.parametrize("p, q", [(2, 3), (13, 21), (55, 89)])
+def test_equality_agrees_with_the_point_walk_on_the_cusp_family(p, q):
+    rng = random.Random(p * q)
+    d = cusp_shape(p, q)
+    for e in d.edges:
+        z = splice_residual(d, (e.u, e.v))
+        assert z.terms
+        assert z.is_zero() and point_walk_vanishes(z)
+        for _ in range(6):
+            off = one_monomial_off(z, rng)
+            assert not off.is_zero() and not point_walk_vanishes(off)
+
+
+def test_cusp_splice_identity_decides_within_a_cpu_bound():
+    # a residual of this shape covers 8.7 M lattice points but only about
+    # 5 700 rows, so only a test that works on rows meets the bound
+    d = cusp_shape(987, 1597)
+    start = time.process_time()
+    assert all(verify_splice_motivic(d, (e.u, e.v)) for e in d.edges)
+    assert time.process_time() - start < 5
 
 
 def test_zeta_expr_render():
