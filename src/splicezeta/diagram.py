@@ -217,18 +217,26 @@ def validate(d):
             out.append(f"arrowhead at {a.node} has (N, nu) = (0, 0)")
     if out:
         return out
-    if not _is_tree(d):
+    tree = _is_tree(d)
+    if not tree:
         out.append("node-edge graph is not a tree")
+    at = {v: [] for v in d.nodes}
+    for a in d.arrows:
+        at[a.node].append(a.dec)
+    p = {}  # node -> product of its decorations
     for v in d.nodes:
-        decs = d.decorations_at(v)
+        decs = [e.dec_at(v) for e in d._adj[v]] + at[v]
         for i in range(len(decs)):
             for j in range(i + 1, len(decs)):
                 if gcd(decs[i], decs[j]) != 1:
                     out.append(
                         f"decorations {decs[i]} and {decs[j]} at node {v} "
                         f"are not coprime")
+        p[v] = prod(decs)
     for e in d.edges:
-        q = edge_determinant(d, e)
+        # in a tree no edge meets a node twice, so P_u / d_u excludes just e
+        q = (e.du * e.dv - p[e.u] // e.du * (p[e.v] // e.dv) if tree
+             else edge_determinant(d, e))
         if q < 1:
             out.append(f"edge {e.u}-{e.v} has determinant {q} < 1")
     return out

@@ -9,7 +9,7 @@ with decoration above 1 does the same for the cone it spans with the ray
 from __future__ import annotations
 
 from itertools import groupby
-from math import gcd
+from math import gcd, prod
 
 from .diagram import (
     Arrowhead,
@@ -19,8 +19,11 @@ from .diagram import (
     cached_table,
     edge_determinant,
     multiplicities,
+    validate,
 )
 from .errors import (
+    CacheMismatch,
+    DegenerateDenominator,
     MissingCache,
     NegativeDeterminant,
     NonIntegralInterpolation,
@@ -273,9 +276,13 @@ class _Plan:
     which moves to node moved[i].  recent holds the latest _RECENT (input,
     result) pairs, newest last: a whole diagram and its splice halves can
     share one skeleton, and one slot would have them evict each other.
+    linking is the skeleton's _Linking once refined_strata has built it
+    (False where it never will), and linked its latest _RECENT (input,
+    strata) pairs, so that a second zeta of one input object costs nothing.
     """
 
-    __slots__ = ("nodes", "edges", "adj", "chains", "moved", "recent")
+    __slots__ = ("nodes", "edges", "adj", "chains", "moved", "recent",
+                 "linking", "linked")
 
     def __init__(self, d):
         existing, edges, self.chains, self.moved = set(d.nodes), [], [], {}
@@ -299,7 +306,7 @@ class _Plan:
                 self.moved[i] = names[-1]
         tree = Diagram(existing, edges, ())
         self.nodes, self.edges, self.adj = tree.nodes, tree.edges, tree._adj
-        self.recent = []
+        self.recent, self.linking, self.linked = [], None, []
 
     def lookup(self, d):
         """The result of a recent input that is d, or else equal to it."""
@@ -329,6 +336,10 @@ _PLAN_BOUND = 64
 _plans = {}  # (nodes, edges, arrowhead (node, dec)s) -> _Plan, oldest first
 
 
+def _skeleton(d):
+    return (d.nodes, d.edges, tuple((a.node, a.dec) for a in d.arrows))
+
+
 def realizable_refine(d):
     """Minimal refinement with determinant-one edges and plain arrowheads.
 
@@ -345,8 +356,12 @@ def realizable_refine(d):
     input equal to one of its skeleton's recent inputs gets that result,
     and so does an input whose result equals a recent one, after those checks.
     """
-    key = (d.nodes, d.edges, tuple((a.node, a.dec) for a in d.arrows))
-    plan = _plans.get(key)
+    key = _skeleton(d)
+    return _refine(d, key, _plans.get(key))
+
+
+def _refine(d, key, plan):
+    """realizable_refine(d), for d's skeleton key and its plan or None."""
     out = plan.lookup(d) if plan is not None else None
     if out is not None:
         return out
@@ -366,6 +381,128 @@ def realizable_refine(d):
     if plan.moved:
         multiplicities(out)
     return plan.remember(d, out)
+
+
+# ---------------------------------------------------------------------------
+# Linking maps: the refined strata of one skeleton, affine in its arrowheads.
+# ---------------------------------------------------------------------------
+
+
+class _Linking:
+    """The strata of a plan's refinements of standard inputs, as integer-affine
+    functions of the input arrowheads' (N, nu).
+
+    The refined tree has plain arrowheads, so unrolling the side-weight
+    recurrence (see diagram.side_weights) gives the Eisenbud-Neumann form
+    N_v = sum_a l(v, a) N_a and nu_v = sum_a l(v, a) (nu_a - 1) +
+    sum_w l(v, w) (2 - delta_w), with l(v, w) the product of the decorations
+    next to the tree path from v to w but not on it (of all decorations at v
+    when w = v) and delta_w the number of node-edges at w.  columns[a] holds
+    l(., node of arrowhead a) over the refined nodes, and const the second
+    sum minus every column, so that
+    (N_v, nu_v) = (sum_a columns[a][v] N_a, sum_a columns[a][v] nu_a + const[v]).
+    The rest is the strata's fixed shape: valencies, the edges' and
+    arrowheads' node indices, and the input nodes' indices.
+    """
+
+    __slots__ = ("names", "columns", "const", "inputs", "valencies", "edge_ends",
+                 "arrow_at")
+
+    def __init__(self, plan, d):
+        names = self.names = plan.nodes
+        index = {v: i for i, v in enumerate(names)}
+        p = [prod(e.dec_at(v) for e in plan.adj[v]) for v in names]
+        steps = [[(index[e.other(v)], e.dec_at(v), e.dec_at(e.other(v)))
+                  for e in plan.adj[v]] for v in names]
+        walked = {}
+
+        def column(w):
+            """l(w, y) for every refined node y, by one walk of the tree."""
+            if w not in walked:
+                lk = [0] * len(names)  # 0: not reached, as every l is positive
+                lk[w], todo = p[w], [w]
+                while todo:
+                    x = todo.pop()
+                    for y, dx, dy in steps[x]:
+                        if not lk[y]:
+                            lk[y] = lk[x] // dx * (p[y] // dy)
+                            todo.append(y)
+                walked[w] = lk
+            return walked[w]
+
+        self.arrow_at = [index[a.node] for a in d.arrows]
+        self.columns = [column(i) for i in self.arrow_at]
+        const = [0] * len(names)
+        for w, near in enumerate(steps):
+            if len(near) != 2:
+                const = [c + (2 - len(near)) * x for c, x in zip(const, column(w))]
+        for col in self.columns:
+            const = [c - x for c, x in zip(const, col)]
+        self.const = const
+        self.inputs = [(v, index[v]) for v in d.nodes]
+        at = [0] * len(names)
+        for i in self.arrow_at:
+            at[i] += 1
+        self.valencies = [len(near) + k for near, k in zip(steps, at)]
+        self.edge_ends = [(index[e.u], index[e.v]) for e in plan.edges]
+
+    def strata(self, d):
+        """zeta._strata(realizable_refine(d)), with the errors that raises
+        (and multiplicities before it) at the same first offender."""
+        ns, nus = [0] * len(self.const), self.const
+        for a, col in zip(d.arrows, self.columns):
+            if a.N:
+                ns = [n + a.N * x for n, x in zip(ns, col)]
+            if a.nu:
+                nus = [nu + a.nu * x for nu, x in zip(nus, col)]
+        for v, i in self.inputs if d.caches else ():
+            cached = d.caches.get(v)
+            if cached is not None and tuple(cached) != (ns[i], nus[i]):
+                raise CacheMismatch(
+                    f"node {v}: cached {tuple(cached)} != computed {(ns[i], nus[i])}")
+        pairs = list(zip(nus, ns))
+        if (0, 0) in pairs:
+            for v, i in self.inputs:
+                if pairs[i] == (0, 0):
+                    raise DegenerateDenominator(f"(N, nu) = (0, 0) at node {v}")
+            v = self.names[pairs.index((0, 0))]
+            raise DegenerateDenominator(f"node {v} has (N, nu) = (0, 0)")
+        arrows = []
+        for a, i in zip(d.arrows, self.arrow_at):
+            if (a.N, a.nu) == (0, 0):
+                raise DegenerateDenominator(f"arrowhead at {a.node} has (N, nu) = (0, 0)")
+            arrows.append((pairs[i], (a.nu, a.N)))
+        return (list(zip(pairs, self.valencies)),
+                [(pairs[u], pairs[v]) for u, v in self.edge_ends], arrows)
+
+
+def refined_strata(d, strata_of):
+    """strata_of(realizable_refine(d)), kept on that refinement, or the same
+    strata from the linking map of d's plan where it has one for d (strata_of
+    is zeta._strata, which _Linking.strata reproduces).
+
+    A skeleton gets a map on the first input whose arrowheads no recent
+    input of its plan had, e.g. the second point of a form-parameter sweep,
+    and only when every arrowhead has decoration 1 (decorated ones take
+    their values from caches) and validate finds nothing wrong with that
+    input.  Until then an input that repeats a recent input's arrowheads,
+    with or without caches, is replayed (and mostly hits the plan's memo).
+    """
+    key = _skeleton(d)
+    plan = _plans.get(key)
+    if plan is not None and plan.linking is None and not plan.moved \
+            and all(x.arrows != d.arrows for x, _ in plan.recent):
+        plan.linking = False if validate(d) else _Linking(plan, d)
+    if plan is not None and plan.linking:
+        strata = next((y for x, y in plan.linked if x is d), None)
+        if strata is None:
+            strata = plan.linking.strata(d)
+            plan.linked = (plan.linked + [(d, strata)])[-_RECENT:]
+        return strata
+    out = _refine(d, key, plan)
+    if out._strata is None:
+        out._strata = strata_of(out)
+    return out._strata
 
 
 def reduce(d):

@@ -15,7 +15,7 @@ from operator import mul
 
 from .algebra import Poly2, _div_linear, _partial_fraction_sum
 from .errors import DegenerateDenominator, PoleAtOne
-from .refine import realizable_refine
+from .refine import realizable_refine, refined_strata
 
 L_MINUS_1 = Poly2({(1, 0): 1, (0, 0): -1})
 L_MINUS_1_SQ = L_MINUS_1 * L_MINUS_1
@@ -205,11 +205,9 @@ def _over_l_minus_1(coeff):
 
 def _refined_strata(diagram):
     """_strata of the realizable refinement, computed once per refined diagram
-    (the refinement plan hands out the same one for the same input)."""
-    d = realizable_refine(diagram)
-    if d._strata is None:
-        d._strata = _strata(d)
-    return d._strata
+    (the refinement plan hands out the same one for the same input), or
+    from the plan's linking map (see refine.refined_strata)."""
+    return refined_strata(diagram, _strata)
 
 
 def _strata(d):

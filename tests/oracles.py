@@ -12,7 +12,9 @@ the T-adic equality test must match; `point_walk_vanishes` is that test one
 lattice point at a time, without the package's grouping into rows.  The `Fraction` references of the
 partial-fraction and Euler-specialization kernels (`term_fractions`,
 `partial_fractions_vanish`, `specialize_chi_top`) are the earlier versions of
-the package's integer ones, kept to test that those agree with them.
+the package's integer ones, kept to test that those agree with them, and
+`validate_reference` is the earlier `validate`, with one outer product per
+edge end.
 """
 
 from fractions import Fraction
@@ -21,7 +23,7 @@ from math import gcd, lcm, prod
 import sympy as sp
 
 from splicezeta.algebra import Poly2, RatFuncS, _poly_mul, _poly_trim
-from splicezeta.diagram import Arrowhead, edge_sides
+from splicezeta.diagram import Arrowhead, _is_tree, edge_determinant, edge_sides
 from splicezeta.errors import PoleAtOne
 
 
@@ -521,3 +523,45 @@ def linking_side_weight(d, e, side):
     for w in side:
         i_val += (2 - len(d.node_edges(w))) * linking_from_edge(d, e, w)
     return (m_val, i_val)
+
+
+# ---------------------------------------------------------------------------
+# Diagram validation, one outer product per edge end.
+# ---------------------------------------------------------------------------
+
+def validate_reference(d):
+    """The violations validate must report, in its text and order."""
+    out = []
+    if not d.nodes:
+        return ["diagram has no nodes"]
+    for e in d.edges:
+        if e.u not in d._adj or e.v not in d._adj:
+            out.append(f"edge {e.u}-{e.v} references an unknown node")
+        if e.du < 1 or e.dv < 1:
+            out.append(f"edge {e.u}-{e.v} has a decoration < 1")
+    for a in d.arrows:
+        if a.node not in d._adj:
+            out.append(f"arrowhead at unknown node {a.node}")
+        if a.dec < 1:
+            out.append(f"arrowhead at {a.node} has decoration < 1")
+        if a.N < 0:
+            out.append(f"arrowhead at {a.node} has N < 0")
+        if (a.N, a.nu) == (0, 0):
+            out.append(f"arrowhead at {a.node} has (N, nu) = (0, 0)")
+    if out:
+        return out
+    if not _is_tree(d):
+        out.append("node-edge graph is not a tree")
+    for v in d.nodes:
+        decs = d.decorations_at(v)
+        for i in range(len(decs)):
+            for j in range(i + 1, len(decs)):
+                if gcd(decs[i], decs[j]) != 1:
+                    out.append(
+                        f"decorations {decs[i]} and {decs[j]} at node {v} "
+                        f"are not coprime")
+    for e in d.edges:
+        q = edge_determinant(d, e)
+        if q < 1:
+            out.append(f"edge {e.u}-{e.v} has determinant {q} < 1")
+    return out

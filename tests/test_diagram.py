@@ -35,6 +35,7 @@ from oracles import (
     linking_from_edge,
     linking_multiplicities,
     linking_side_weight,
+    validate_reference,
 )
 
 
@@ -77,6 +78,52 @@ def test_validate_cycle_is_rejected():
         [Arrowhead("a", 1, 1, 1)],
     )
     assert any("tree" in v for v in validate(d))
+
+
+_SHARED = Edge("a", "b", 2, 3)
+
+INVALID = {
+    "unknown node": Diagram(["a"], [Edge("a", "z", 1, 1)], [Arrowhead("y", 1, 1, 1)]),
+    "decoration < 1": Diagram(["a", "b"], [Edge("a", "b", 0, 1)],
+                              [Arrowhead("a", 0, 1, 1), Arrowhead("b", 1, 1, 1)]),
+    "N < 0": Diagram(["v"], [], [Arrowhead("v", 1, -1, 1), Arrowhead("v", 1, 1, 1)]),
+    "(0, 0) arrowhead": Diagram(["v"], [], [Arrowhead("v", 1, 0, 0),
+                                             Arrowhead("v", 1, 1, 1)]),
+    "cycle": Diagram(["a", "b", "c"],
+                     [Edge("a", "b", 2, 3), Edge("b", "c", 1, 1), Edge("a", "c", 5, 1)],
+                     [Arrowhead("a", 1, 1, 1)]),
+    # a node met twice by one edge: its determinant is not d d' - (P_u / d) (P_v / d')
+    "self-loop": Diagram(["a", "b"], [Edge("a", "a", 2, 3)],
+                         [Arrowhead("a", 5, 1, 1), Arrowhead("b", 1, 1, 1)]),
+    "one edge twice": Diagram(["a", "b", "c"], [_SHARED, _SHARED],
+                              [Arrowhead("a", 1, 1, 1), Arrowhead("c", 1, 1, 1)]),
+    "edge decorations not coprime": Diagram(
+        ["a", "b", "c"], [Edge("a", "b", 2, 3), Edge("b", "c", 9, 1)],
+        [Arrowhead("a", 1, 1, 1), Arrowhead("c", 1, 1, 1)]),
+    "arrowhead decoration not coprime": Diagram(
+        ["a", "b"], [Edge("a", "b", 2, 2)],
+        [Arrowhead("a", 1, 1, 1), Arrowhead("b", 4, 1, 1), Arrowhead("b", 6, 0, 1)]),
+    "determinant 0": Diagram(
+        ["a", "b"], [Edge("a", "b", 2, 3)],
+        [Arrowhead("a", 3, 1, 1), Arrowhead("b", 2, 1, 1)]),
+    "determinant < 0": Diagram(
+        ["a", "b", "c"], [Edge("a", "b", 1, 2), Edge("b", "c", 5, 1)],
+        [Arrowhead("a", 3, 1, 1), Arrowhead("b", 7, 1, 1), Arrowhead("c", 1, 1, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID))
+def test_validate_matches_the_reference_on_invalid_diagrams(name):
+    d = INVALID[name]
+    assert validate(d)
+    assert validate(d) == validate_reference(d)
+
+
+def test_validate_matches_the_reference_on_valid_diagrams():
+    diagrams = [example(name) for name in EXAMPLES]
+    diagrams += [reduce(random_diagram(s, m)) for s in range(8) for m in (6, 14, 30, 160)]
+    for d in diagrams:
+        assert validate(d) == validate_reference(d) == []
 
 
 def test_validation_warning_on_zero_nu():

@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from splicezeta import refine
+from splicezeta import refine, zeta
 from splicezeta.diagram import (
     Arrowhead,
     Diagram,
@@ -44,6 +46,7 @@ from splicezeta.sdio import (
     write_sd,
 )
 from splicezeta.splice import splice
+from splicezeta.zeta import motivic_zeta, top_zeta, twisted_top_zeta
 
 from oracles import brute_minimal_chains, toric_values
 
@@ -397,3 +400,161 @@ def test_plan_memo_is_bounded():
     assert len(refine._plans) == refine._PLAN_BOUND
     # the oldest skeleton was dropped, and refines as before
     assert realizable_refine(first) == _cold(first)
+
+
+# ---------------------------------------------------------------------------
+# Linking maps against the replay.
+# ---------------------------------------------------------------------------
+
+
+def _linking(d):
+    """A linking map of d's skeleton, built outside the memo's gate."""
+    return refine._Linking(refine._Plan(d), d)
+
+
+def _replayed(d):
+    return zeta._strata(realizable_refine(d))
+
+
+def _outcome(strata_of, d):
+    """strata_of(d), or the class and message of what it raised."""
+    try:
+        return "strata", strata_of(d)
+    except SpliceZetaError as exc:
+        return "raised", type(exc), str(exc)
+
+
+def _redrawn(d, rng):
+    """d's skeleton with new arrowhead (N, nu), none of them (0, 0)."""
+    arrows = []
+    for a in d.arrows:
+        n, nu = rng.randrange(4), rng.randrange(-3, 6)
+        arrows.append(Arrowhead(a.node, 1, n, nu if (n, nu) != (0, 0) else 1))
+    return Diagram(d.nodes, d.edges, arrows)
+
+
+def test_linking_map_matches_the_replay_on_the_sweep_grid():
+    grid = [t for t in itertools.product(range(6), range(6), range(10), range(10))
+            if 0 not in t[:3]]
+    assert len(grid) == 2250
+    linking = _linking(builder_nv_example2(1, 1, 1, 1))
+    for t in grid:
+        d = builder_nv_example2(*t)
+        assert linking.strata(d) == _replayed(d), t
+
+
+def test_linking_map_matches_the_replay_on_examples_and_random_diagrams():
+    rng = random.Random(3)
+    skeletons = [example(name) for name in EXAMPLES]
+    skeletons += [reduce(random_diagram(s, m)) for s in range(8) for m in (6, 14, 30)]
+    outcomes = []
+    for d in skeletons:
+        if d.has_decorated_arrow():
+            continue
+        linking = _linking(d)
+        for x in [d] + [_redrawn(d, rng) for _ in range(3)]:
+            expected = _outcome(_replayed, x)
+            assert _outcome(linking.strata, x) == expected
+            if expected[0] == "strata":
+                cached = ensure_cached(x)  # correct caches on every input node
+                assert linking.strata(cached) == expected[1] == _replayed(cached)
+            outcomes.append(expected[0])
+    assert outcomes.count("strata") > 100
+
+
+def test_linking_map_raises_what_the_replay_raises():
+    nv2 = builder_nv_example2(1, 1, 1, 1)
+    zero_arrow = [Arrowhead("n1", 1, 0, 0)] + [a for a in nv2.arrows if a.node != "n1"]
+    cases = [
+        (nv2.with_caches({v: (1, 1) for v in nv2.nodes}), CacheMismatch),
+        (nv2.with_caches({"n5": (66, 5)}), CacheMismatch),
+        # caches are checked before any node is refused
+        (parse_sd("node a\narrow a 1 0 1\narrow a 1 0 -1\n").with_caches({"a": (0, 1)}),
+         CacheMismatch),
+        # the input node a has (0, 0)
+        (parse_sd("node a\narrow a 1 0 1\narrow a 1 0 -1\n"), DegenerateDenominator),
+        # the input nodes are (0, 6) and (0, 2), the inserted node a.b.1 is (0, 0)
+        (Diagram(["a", "b"], [Edge("a", "b", 1, 3)],
+                 [Arrowhead("a", 1, 0, 2), Arrowhead("b", 1, 0, -1)]), DegenerateDenominator),
+        (Diagram(nv2.nodes, nv2.edges, zero_arrow), DegenerateDenominator),
+    ]
+    messages = set()
+    for bad, cls in cases:
+        expected = _outcome(_replayed, bad)
+        assert expected[:2] == ("raised", cls)
+        assert _outcome(_linking(bad).strata, bad) == expected
+        messages.add(expected[2])
+    assert len(messages) == len(cases)
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), m=st.sampled_from([6, 14, 30]), data=st.data())
+def test_linking_map_equals_the_replay_property(seed, m, data):
+    d = reduce(random_diagram(seed, m))
+    pair = st.tuples(st.integers(0, 5), st.integers(-4, 8)).filter(lambda p: p != (0, 0))
+    pairs = data.draw(st.lists(pair, min_size=len(d.arrows), max_size=len(d.arrows)))
+    redrawn = Diagram(d.nodes, d.edges,
+                      [Arrowhead(a.node, 1, n, nu) for a, (n, nu) in zip(d.arrows, pairs)])
+    linking = _linking(d)
+    for x in (d, redrawn):
+        assert _outcome(linking.strata, x) == _outcome(_replayed, x)
+
+
+# ---------------------------------------------------------------------------
+# When a skeleton gets its linking map.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def maps_built(monkeypatch):
+    """Counts the linking maps built, from an empty plan memo."""
+    built = []
+
+    def counted(plan, d, _original=refine._Linking):
+        built.append(d)
+        return _original(plan, d)
+
+    monkeypatch.setattr(refine, "_Linking", counted)
+    refine._plans.clear()
+    return built
+
+
+def test_one_input_builds_no_linking_map(maps_built):
+    d = builder_nv_example2(2, 3, 4, 5)
+    for _ in range(2):
+        twisted_top_zeta(d, 330)
+        twisted_top_zeta(d, 60)
+        top_zeta(d)
+        motivic_zeta(d)
+    # equal to it, or the same data with caches, repeats its arrowheads
+    twisted_top_zeta(builder_nv_example2(2, 3, 4, 5), 60)
+    top_zeta(ensure_cached(d))
+    assert not maps_built
+    assert refine._plans[refine._skeleton(d)].linking is None
+
+
+def test_the_second_standard_input_builds_one_linking_map(maps_built):
+    first, second = builder_nv_example2(1, 2, 3, 4), builder_nv_example2(2, 3, 4, 5)
+    twisted_top_zeta(first, 330)
+    assert not maps_built
+    for d in (second, builder_nv_example2(5, 4, 3, 2), first, second):
+        twisted_top_zeta(d, 330)
+        twisted_top_zeta(d, 60)
+        assert zeta._refined_strata(d) is zeta._refined_strata(d) == _replayed(d)
+    assert maps_built == [second]
+
+
+def test_decorated_or_invalid_skeletons_build_no_linking_map(maps_built):
+    halves = []
+    for t in [(1, 1, 1, 1), (2, 3, 4, 5), (1, 2, 3, 4)]:
+        r = splice(builder_nv_example2(*t), ("n3", "n4"))
+        halves.append(r.left if r.left.has_decorated_arrow() else r.right)
+    assert len({refine._skeleton(h) for h in halves}) == 1
+    assert len({h.arrows for h in halves}) == 3
+    invalid = [Diagram(["v"], [], [Arrowhead("v", 1, n, 1), Arrowhead("v", 1, 2, 1)])
+               for n in (-1, -2, 3)]
+    assert validate(invalid[1]) and not validate(invalid[2])
+    for d in halves + invalid:
+        for _ in range(2):
+            assert zeta._refined_strata(d) == _replayed(d)
+    assert not maps_built
