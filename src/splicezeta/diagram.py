@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
+from operator import attrgetter
 
 from .errors import (
     CacheMismatch,
@@ -52,63 +53,114 @@ class Arrowhead:
     nu: int
 
 
-class Diagram:
-    """Immutable decorated tree with arrowheads and optional multiplicity caches."""
+class Skeleton:
+    """What a diagram is apart from its arrowheads' (N, nu) and its caches.
 
-    # _strata: zeta's strata of this diagram, computed on first use
-    __slots__ = ("nodes", "edges", "arrows", "caches", "_adj", "_strata")
+    It holds the sorted nodes, the oriented and sorted edges, their
+    adjacency and each arrowhead's (node, decoration), in the order of the
+    sorted arrowheads.  Diagrams built from equal parts share one object
+    while it is among the last _SKELETON_BOUND entered in the intern table,
+    unless two of its edges join the same nodes (see _enter).
+    It keeps what depends on the skeleton alone, each computed on first use:
+    verdict, validate's findings once the arrowheads' (N, nu) are clean
+    (False when the skeleton has an unknown node or a decoration < 1, which
+    validate reports together with those), and plan, the refinement plan
+    (refine._Plan).
+    """
 
-    def __init__(self, nodes, edges, arrows, caches=None):
-        self.nodes = tuple(sorted(nodes))
-        es = []
+    __slots__ = ("nodes", "edges", "arrow_decs", "adj", "verdict", "plan")
+
+    def __init__(self, nodes, edges, arrow_decs):
+        self.nodes, self.edges, self.arrow_decs = nodes, edges, arrow_decs
+        adj = {v: [] for v in nodes}
         for e in edges:
-            if e.u > e.v:
-                e = Edge(e.v, e.u, e.dv, e.du)
-            es.append(e)
-        self.edges = tuple(sorted(es))
-        self.arrows = tuple(sorted(arrows))
-        self.caches = dict(caches or {})
-        adj = {v: [] for v in self.nodes}
-        for e in self.edges:
             # edges naming unknown nodes are kept and reported by validate
             if e.u in adj and e.v in adj:
                 adj[e.u].append(e)
                 adj[e.v].append(e)
-        self._adj = adj
+        self.adj = adj
+        self.verdict = self.plan = None
+
+    def interned(self):
+        """This skeleton, or the equal one the intern table holds since this
+        one left it; entered again when the table holds neither."""
+        key = (self.nodes, self.edges, self.arrow_decs)
+        return _skeletons.get(key) or _enter(key, self)
+
+
+_SKELETON_BOUND = 64
+_skeletons = {}  # (nodes, edges, arrow_decs) -> Skeleton, oldest first
+_ENDS = attrgetter("u", "v")
+_NODE_DEC = attrgetter("node", "dec")
+
+
+def sorted_parts(nodes, edges):
+    """(nodes, edges) as a Diagram keeps them: sorted, each edge from its
+    smaller node."""
+    return (tuple(sorted(nodes)),
+            tuple(sorted(e if e.u <= e.v else Edge(e.v, e.u, e.dv, e.du) for e in edges)))
+
+
+def _enter(key, skeleton):
+    """Make skeleton the newest entry of the table, which has none equal to
+    it; the oldest leaves when the table is full, and drops its plan, so
+    that the table bounds the plans kept.
+
+    A skeleton with two edges between the same nodes stays out of the
+    table, so that its edges stay its diagram's own objects: edge_determinant
+    excludes an edge by identity, and one Edge listed twice has other
+    determinants than two equal Edges.  Such a graph is no tree.
+    """
+    edges = key[1]
+    if len(set(map(_ENDS, edges))) < len(edges):
+        return skeleton
+    _skeletons[key] = skeleton
+    if len(_skeletons) > _SKELETON_BOUND:
+        _skeletons.pop(next(iter(_skeletons))).plan = None
+    return skeleton
+
+
+class Diagram:
+    """Immutable decorated tree with arrowheads and optional multiplicity caches."""
+
+    # skeleton: the shared Skeleton; _strata: zeta's strata of this diagram,
+    # computed on first use
+    __slots__ = ("nodes", "edges", "arrows", "caches", "skeleton", "_strata")
+
+    def __init__(self, nodes, edges, arrows, caches=None):
+        self.arrows = arrows = tuple(sorted(arrows))
+        key = (*sorted_parts(nodes, edges), tuple(map(_NODE_DEC, arrows)))
+        skeleton = self.skeleton = _skeletons.get(key) or _enter(key, Skeleton(*key))
+        self.nodes, self.edges = skeleton.nodes, skeleton.edges
+        self.caches = dict(caches or {})
         self._strata = None
 
     @classmethod
-    def _assemble(cls, nodes, edges, arrows, caches, adj):
-        """A diagram sharing already sorted parts and their adjacency."""
+    def _assemble(cls, skeleton, arrows, caches):
+        """A diagram of a skeleton, with sorted arrows of its (node, dec)s."""
         d = cls.__new__(cls)
-        d.nodes, d.edges, d.arrows, d.caches, d._adj = nodes, edges, arrows, caches, adj
-        d._strata = None
+        d.nodes, d.edges, d.arrows, d.caches = skeleton.nodes, skeleton.edges, arrows, caches
+        d.skeleton, d._strata = skeleton, None
         return d
 
     # -- structure queries -------------------------------------------------
 
     def node_edges(self, v):
-        return self._adj[v]
+        return self.skeleton.adj[v]
 
     def arrows_at(self, v):
         return [a for a in self.arrows if a.node == v]
 
     def edge_between(self, u, v):
-        for e in self._adj.get(u, ()):
+        for e in self.skeleton.adj.get(u, ()):
             if e.other(u) == v:
                 return e
         return None
 
-    def decorations_at(self, v):
-        """All decorations incident to v (edge ends first, then arrowheads)."""
-        out = [e.dec_at(v) for e in self._adj[v]]
-        out.extend(a.dec for a in self.arrows_at(v))
-        return out
-
     def outer_product(self, v, exclude_edge=None, exclude_arrow=None):
         """Product of the decorations at v other than the excluded one."""
         acc = 1
-        for e in self._adj[v]:
+        for e in self.skeleton.adj[v]:
             if e is not exclude_edge:
                 acc *= e.dec_at(v)
         skipped = False
@@ -125,10 +177,10 @@ class Diagram:
     def with_caches(self, table):
         merged = dict(self.caches)
         merged.update(table)
-        return Diagram(self.nodes, self.edges, self.arrows, merged)
+        return Diagram._assemble(self.skeleton, self.arrows, merged)
 
     def without_caches(self):
-        return Diagram(self.nodes, self.edges, self.arrows)
+        return Diagram._assemble(self.skeleton, self.arrows, {})
 
     def has_decorated_arrow(self):
         return any(a.dec != 1 for a in self.arrows)
@@ -197,26 +249,47 @@ def _is_tree(d):
 
 
 def validate(d):
-    """Return a list of invariant violations; an empty list means valid."""
-    out = []
+    """Return a list of invariant violations; an empty list means valid.
+
+    The arrowheads' (N, nu) are checked on every call, the rest once per
+    skeleton (see Skeleton.verdict).
+    """
     if not d.nodes:
         return ["diagram has no nodes"]
-    for e in d.edges:
-        if e.u not in d._adj or e.v not in d._adj:
-            out.append(f"edge {e.u}-{e.v} references an unknown node")
-        if e.du < 1 or e.dv < 1:
-            out.append(f"edge {e.u}-{e.v} has a decoration < 1")
+    skeleton = d.skeleton
+    if skeleton.verdict is None:
+        skeleton.verdict = _skeleton_verdict(d)
+    local = skeleton.verdict is False  # then out gets a fault of the skeleton
+    out = _edge_faults(d) if local else []
     for a in d.arrows:
-        if a.node not in d._adj:
-            out.append(f"arrowhead at unknown node {a.node}")
-        if a.dec < 1:
-            out.append(f"arrowhead at {a.node} has decoration < 1")
+        if local:
+            if a.node not in skeleton.adj:
+                out.append(f"arrowhead at unknown node {a.node}")
+            if a.dec < 1:
+                out.append(f"arrowhead at {a.node} has decoration < 1")
         if a.N < 0:
             out.append(f"arrowhead at {a.node} has N < 0")
         if (a.N, a.nu) == (0, 0):
             out.append(f"arrowhead at {a.node} has (N, nu) = (0, 0)")
-    if out:
-        return out
+    return out or list(skeleton.verdict)
+
+
+def _edge_faults(d):
+    out = []
+    for e in d.edges:
+        if e.u not in d.skeleton.adj or e.v not in d.skeleton.adj:
+            out.append(f"edge {e.u}-{e.v} references an unknown node")
+        if e.du < 1 or e.dv < 1:
+            out.append(f"edge {e.u}-{e.v} has a decoration < 1")
+    return out
+
+
+def _skeleton_verdict(d):
+    """Skeleton.verdict of d's skeleton, read off d."""
+    if _edge_faults(d) or any(a.node not in d.skeleton.adj or a.dec < 1
+                              for a in d.arrows):
+        return False
+    out = []
     tree = _is_tree(d)
     if not tree:
         out.append("node-edge graph is not a tree")
@@ -225,7 +298,7 @@ def validate(d):
         at[a.node].append(a.dec)
     p = {}  # node -> product of its decorations
     for v in d.nodes:
-        decs = [e.dec_at(v) for e in d._adj[v]] + at[v]
+        decs = [e.dec_at(v) for e in d.node_edges(v)] + at[v]
         for i in range(len(decs)):
             for j in range(i + 1, len(decs)):
                 if gcd(decs[i], decs[j]) != 1:
@@ -239,7 +312,7 @@ def validate(d):
              else edge_determinant(d, e))
         if q < 1:
             out.append(f"edge {e.u}-{e.v} has determinant {q} < 1")
-    return out
+    return tuple(out)
 
 
 def validation_warnings(d):

@@ -45,6 +45,10 @@ class NegativeDeterminant(SpliceZetaError):
     """Cone generators are not positively oriented."""
 
 
+class RefinementTooLarge(SpliceZetaError):
+    """A refinement would have more nodes than refine.MAX_REFINED_NODES."""
+
+
 class NotAnEdge(SpliceZetaError):
     """The requested node pair is not an edge of the diagram."""
 

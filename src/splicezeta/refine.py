@@ -15,10 +15,12 @@ from .diagram import (
     Arrowhead,
     Diagram,
     Edge,
+    Skeleton,
     cone_vector,
     cached_table,
     edge_determinant,
     multiplicities,
+    sorted_parts,
     validate,
 )
 from .errors import (
@@ -29,6 +31,7 @@ from .errors import (
     NonIntegralInterpolation,
     NonPrimitiveInput,
     NotAnEdge,
+    RefinementTooLarge,
 )
 
 
@@ -124,6 +127,31 @@ def smooth_subdivide_minimal(u, v):
         cur = w
     chain.append(v)
     return Subdivision(chain)
+
+
+def _chain_length(w_l, w_r):
+    """len(smooth_subdivide_minimal(w_l, w_r).interior) in O(log det) steps,
+    and 0 for a cone that routine refuses.
+
+    The chain's vectors w_1, w_2, ... have determinants r_i = det(w_i, w_r)
+    falling from r_0 = det(w_l, w_r) to 1 by r_(i+1) = -r_(i-1) mod r_i (the
+    Hirzebruch-Jung continued fraction of r_0 / r_1).  Where r_(i-1) < 2 r_i
+    they fall by the same step r_(i-1) - r_i while above it, and such a run
+    is counted at once.
+    """
+    q = det2(w_l, w_r)
+    if q <= 1 or not (is_primitive(w_l) and is_primitive(w_r)):
+        return 0
+    _, x, y = _ext_gcd(*w_l)
+    n, a, b = 1, q, det2((-y, x), w_r) % q  # det(w_l, (-y, x)) = 1
+    while b > 1:
+        if 2 * b > a:
+            step = a - b
+            run = (b - 1) // step
+            n, a, b = n + run, b - (run - 1) * step, b - run * step
+        else:
+            n, a, b = n + 1, b, -a % b
+    return n
 
 
 def _ext_gcd(a, b):
@@ -253,7 +281,12 @@ def refine_arrow(d, arrow, subdivision=None):
 
 
 def refine_all_arrows(d):
-    """Refine every arrowhead with decoration above one."""
+    """Refine every arrowhead with decoration above one.
+
+    Raises RefinementTooLarge, before any chain is built, when the result
+    would have more than MAX_REFINED_NODES nodes.
+    """
+    _refined_size(d, [_arrow_cone(d, a) for a in d.arrows if a.dec != 1])
     while True:
         decorated = [a for a in d.arrows if a.dec != 1]
         if not decorated:
@@ -268,12 +301,30 @@ def is_realizable(d):
     return all(edge_determinant(d, e) == 1 for e in d.edges)
 
 
-class _Plan:
-    """The refinement of one decoration skeleton, without its caches.
+MAX_REFINED_NODES = 100_000
 
-    A chain (names, interior, w_l, w_r, u, v, i) interpolates between the
-    caches of input nodes u and v, or of u and the (N, nu) of arrowhead i,
-    which moves to node moved[i].  recent holds the latest _RECENT (input,
+
+def _refined_size(d, cones):
+    """The node count of d with these of its cones refined, from the lengths
+    of their chains, none of them built; RefinementTooLarge above
+    MAX_REFINED_NODES."""
+    count = len(d.nodes) + sum(_chain_length(w_l, w_r) for w_l, w_r in cones)
+    if count > MAX_REFINED_NODES:
+        raise RefinementTooLarge(
+            f"the refinement would have {count} nodes, more than the "
+            f"{MAX_REFINED_NODES} allowed")
+    return count
+
+
+class _Plan:
+    """The refinement of one decoration skeleton, without its caches; it
+    lives on that Skeleton, as its plan.
+
+    tree is the refined tree's Skeleton, which every result shares; it is
+    not interned, so that a plan takes one entry of the intern table.  A chain
+    (names, interior, w_l, w_r, u, v, i) interpolates between the caches of
+    input nodes u and v, or of u and the (N, nu) of arrowhead i, which moves
+    to node moved[i].  recent holds the latest _RECENT (input,
     result) pairs, newest last: a whole diagram and its splice halves can
     share one skeleton, and one slot would have them evict each other.
     linking is the skeleton's _Linking once refined_strata has built it
@@ -281,14 +332,15 @@ class _Plan:
     strata) pairs, so that a second zeta of one input object costs nothing.
     """
 
-    __slots__ = ("nodes", "edges", "adj", "chains", "moved", "recent",
-                 "linking", "linked")
+    __slots__ = ("tree", "chains", "moved", "recent", "linking", "linked")
 
     def __init__(self, d):
-        existing, edges, self.chains, self.moved = set(d.nodes), [], [], {}
         # refining one edge or arrowhead leaves the cones of the others unchanged
-        for e in d.edges:
-            w_l, w_r = _edge_cone(d, e)
+        edge_cones = [_edge_cone(d, e) for e in d.edges]
+        arrow_cones = {i: _arrow_cone(d, a) for i, a in enumerate(d.arrows) if a.dec != 1}
+        _refined_size(d, edge_cones + list(arrow_cones.values()))
+        existing, edges, self.chains, self.moved = set(d.nodes), [], [], {}
+        for e, (w_l, w_r) in zip(d.edges, edge_cones):
             if det2(w_l, w_r) == 1:
                 edges.append(e)
                 continue
@@ -296,16 +348,15 @@ class _Plan:
                                             e.u, e.du, e.v, e.dv)
             edges += chain
             self.chains.append((names, interior, w_l, w_r, e.u, e.v, None))
-        for i, a in enumerate(d.arrows):
-            if a.dec != 1:
-                w_l, w_r = _arrow_cone(d, a)
-                names, interior, chain = _chain(existing, f"{a.node}.a.", w_l, w_r,
-                                                a.node, a.dec)
-                edges += chain
-                self.chains.append((names, interior, w_l, w_r, a.node, None, i))
-                self.moved[i] = names[-1]
-        tree = Diagram(existing, edges, ())
-        self.nodes, self.edges, self.adj = tree.nodes, tree.edges, tree._adj
+        for i, (w_l, w_r) in arrow_cones.items():
+            a = d.arrows[i]
+            names, interior, chain = _chain(existing, f"{a.node}.a.", w_l, w_r,
+                                            a.node, a.dec)
+            edges += chain
+            self.chains.append((names, interior, w_l, w_r, a.node, None, i))
+            self.moved[i] = names[-1]
+        self.tree = Skeleton(*sorted_parts(existing, edges), tuple(sorted(
+            (self.moved.get(i, a.node), 1) for i, a in enumerate(d.arrows))))
         self.recent, self.linking, self.linked = [], None, []
 
     def lookup(self, d):
@@ -332,12 +383,13 @@ def _same_data(x, y):
 
 
 _RECENT = 4
-_PLAN_BOUND = 64
-_plans = {}  # (nodes, edges, arrowhead (node, dec)s) -> _Plan, oldest first
 
 
-def _skeleton(d):
-    return (d.nodes, d.edges, tuple((a.node, a.dec) for a in d.arrows))
+def _planned(d):
+    """The skeleton that keeps the plan for d: d's own while it has one,
+    else the intern table's (see diagram.Skeleton.interned), since only the
+    skeletons in the table keep a plan."""
+    return d.skeleton if d.skeleton.plan is not None else d.skeleton.interned()
 
 
 def realizable_refine(d):
@@ -351,33 +403,28 @@ def realizable_refine(d):
     caches again.
 
     The chains depend only on the skeleton (nodes, edges, and the arrowheads'
-    nodes and decorations): the last _PLAN_BOUND skeletons keep theirs, and
-    each call replays them on its own caches, with every check above.  An
-    input equal to one of its skeleton's recent inputs gets that result,
-    and so does an input whose result equals a recent one, after those checks.
+    nodes and decorations), which keeps them as its plan; each call replays
+    them on its own caches, with every check above.  An input equal to one
+    of its skeleton's recent inputs gets that result, and so does an input
+    whose result equals a recent one, after those checks.  A skeleton whose
+    refinement would have more than MAX_REFINED_NODES nodes raises
+    RefinementTooLarge before any chain is built.
     """
-    key = _skeleton(d)
-    return _refine(d, key, _plans.get(key))
-
-
-def _refine(d, key, plan):
-    """realizable_refine(d), for d's skeleton key and its plan or None."""
+    skeleton = _planned(d)
+    plan = skeleton.plan
     out = plan.lookup(d) if plan is not None else None
     if out is not None:
         return out
     table = cached_table(d)
     if plan is None:
-        plan = _Plan(d)
-        if len(_plans) >= _PLAN_BOUND:
-            _plans.pop(next(iter(_plans)), None)
-        _plans[key] = plan
+        plan = skeleton.plan = _Plan(d)
     caches = {**d.caches, **table}
     for names, interior, w_l, w_r, u, v, i in plan.chains:
         val_r = table[v] if i is None else (d.arrows[i].N, d.arrows[i].nu)
         _fill(caches, names, interior, w_l, w_r, table[u], val_r)
     arrows = sorted(Arrowhead(plan.moved[i], 1, a.N, a.nu) if i in plan.moved
                     else a for i, a in enumerate(d.arrows))
-    out = Diagram._assemble(plan.nodes, plan.edges, tuple(arrows), caches, plan.adj)
+    out = Diagram._assemble(plan.tree, tuple(arrows), caches)
     if plan.moved:
         multiplicities(out)
     return plan.remember(d, out)
@@ -409,11 +456,12 @@ class _Linking:
                  "arrow_at")
 
     def __init__(self, plan, d):
-        names = self.names = plan.nodes
+        tree = plan.tree
+        names = self.names = tree.nodes
         index = {v: i for i, v in enumerate(names)}
-        p = [prod(e.dec_at(v) for e in plan.adj[v]) for v in names]
+        p = [prod(e.dec_at(v) for e in tree.adj[v]) for v in names]
         steps = [[(index[e.other(v)], e.dec_at(v), e.dec_at(e.other(v)))
-                  for e in plan.adj[v]] for v in names]
+                  for e in tree.adj[v]] for v in names]
         walked = {}
 
         def column(w):
@@ -444,7 +492,7 @@ class _Linking:
         for i in self.arrow_at:
             at[i] += 1
         self.valencies = [len(near) + k for near, k in zip(steps, at)]
-        self.edge_ends = [(index[e.u], index[e.v]) for e in plan.edges]
+        self.edge_ends = [(index[e.u], index[e.v]) for e in tree.edges]
 
     def strata(self, d):
         """zeta._strata(realizable_refine(d)), with the errors that raises
@@ -488,8 +536,7 @@ def refined_strata(d, strata_of):
     input.  Until then an input that repeats a recent input's arrowheads,
     with or without caches, is replayed (and mostly hits the plan's memo).
     """
-    key = _skeleton(d)
-    plan = _plans.get(key)
+    plan = _planned(d).plan
     if plan is not None and plan.linking is None and not plan.moved \
             and all(x.arrows != d.arrows for x, _ in plan.recent):
         plan.linking = False if validate(d) else _Linking(plan, d)
@@ -499,7 +546,7 @@ def refined_strata(d, strata_of):
             strata = plan.linking.strata(d)
             plan.linked = (plan.linked + [(d, strata)])[-_RECENT:]
         return strata
-    out = _refine(d, key, plan)
+    out = realizable_refine(d)
     if out._strata is None:
         out._strata = strata_of(out)
     return out._strata

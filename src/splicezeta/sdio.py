@@ -133,6 +133,10 @@ def builder_cusp(a, b):
     ))
 
 
+_NV2_EDGES = (Edge("n1", "n3", 2, 3), Edge("n2", "n3", 1, 4),
+              Edge("n3", "n4", 1, 66), Edge("n4", "n5", 5, 14))
+
+
 def builder_nv_example2(i1, i2, i3, k):
     """Two-node-pair singularity diagram with four form parameters.
 
@@ -145,8 +149,7 @@ def builder_nv_example2(i1, i2, i3, k):
         raise DegenerateBranch("a form-only arrowhead needs nu != 0")
     return check_valid(Diagram(
         ["n1", "n2", "n3", "n4", "n5"],
-        [Edge("n1", "n3", 2, 3), Edge("n2", "n3", 1, 4),
-         Edge("n3", "n4", 1, 66), Edge("n4", "n5", 5, 14)],
+        _NV2_EDGES,
         [Arrowhead("n4", 1, 1, k),
          Arrowhead("n1", 1, 0, i1),
          Arrowhead("n2", 1, 0, i2),

@@ -448,6 +448,13 @@ def _path_nodes(d, src, dst):
     return path
 
 
+def decorations_at(d, v):
+    """All decorations incident to v (edge ends first, then arrowheads)."""
+    out = [e.dec_at(v) for e in d.node_edges(v)]
+    out.extend(a.dec for a in d.arrows_at(v))
+    return out
+
+
 def linking(d, source, target):
     """Product of the decorations adjacent to the path but not on it.
 
@@ -459,7 +466,7 @@ def linking(d, source, target):
         path = _path_nodes(d, source, target.node)
         return _link_product(d, path, skip_arrow=target)
     if source == target:
-        return prod(d.decorations_at(source))
+        return prod(decorations_at(d, source))
     path = _path_nodes(d, source, target)
     return _link_product(d, path, skip_arrow=None)
 
@@ -535,12 +542,12 @@ def validate_reference(d):
     if not d.nodes:
         return ["diagram has no nodes"]
     for e in d.edges:
-        if e.u not in d._adj or e.v not in d._adj:
+        if e.u not in d.skeleton.adj or e.v not in d.skeleton.adj:
             out.append(f"edge {e.u}-{e.v} references an unknown node")
         if e.du < 1 or e.dv < 1:
             out.append(f"edge {e.u}-{e.v} has a decoration < 1")
     for a in d.arrows:
-        if a.node not in d._adj:
+        if a.node not in d.skeleton.adj:
             out.append(f"arrowhead at unknown node {a.node}")
         if a.dec < 1:
             out.append(f"arrowhead at {a.node} has decoration < 1")
@@ -553,7 +560,7 @@ def validate_reference(d):
     if not _is_tree(d):
         out.append("node-edge graph is not a tree")
     for v in d.nodes:
-        decs = d.decorations_at(v)
+        decs = decorations_at(d, v)
         for i in range(len(decs)):
             for j in range(i + 1, len(decs)):
                 if gcd(decs[i], decs[j]) != 1:

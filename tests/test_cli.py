@@ -12,6 +12,8 @@ from splicezeta.diagram import Arrowhead, Diagram
 from splicezeta.sdio import EXAMPLES, example, write_sd
 from splicezeta.splice import splice, verify_splice_motivic, verify_splice_top
 
+from memo import forget_plans
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -72,7 +74,7 @@ def test_commands_refine_their_input_once(monkeypatch, capsys):
 
     def cold():
         calls.clear()
-        refine._plans.clear()
+        forget_plans()
 
     cold()
     refine.realizable_refine(example("nv2"))
@@ -326,6 +328,21 @@ def test_cache_contradicting_the_formulas_is_input_error(tmp_path, capsys):
     code, out, err = run_cli("zeta", str(path), capsys=capsys)
     assert code == 2 and out == ""
     assert "cached (5, 1) != computed (3, 3)" in err
+
+
+HOSTILE_CHAIN = "node a\nnode b\nedge a b 1 10000000\narrow a 1 1 1\narrow b 1 1 1\n"
+
+
+@pytest.mark.parametrize("argv", [["zeta", "--kind", "top", "--machine"], ["refine"],
+                                  ["verify-splice", "--machine"], ["monodromy"]])
+def test_refinement_over_the_budget_is_input_error(argv, tmp_path, capsys):
+    # the chain would refine to 10 000 000 nodes
+    path = tmp_path / "chain.sd"
+    path.write_text(HOSTILE_CHAIN)
+    code, out, err = run_cli(*argv, str(path), capsys=capsys)
+    assert code == 2 and out == ""
+    assert err == ("error: the refinement would have 10000000 nodes, "
+                   "more than the 100000 allowed\n")
 
 
 @pytest.mark.parametrize("unbuffered", [True, False])

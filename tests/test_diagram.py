@@ -1,5 +1,9 @@
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from splicezeta import diagram
 from splicezeta.diagram import (
     Arrowhead,
     Diagram,
@@ -15,7 +19,12 @@ from splicezeta.diagram import (
     validate,
     validation_warnings,
 )
-from splicezeta.errors import CacheMismatch, DecoratedArrowPresent, DegenerateDenominator
+from splicezeta.errors import (
+    CacheMismatch,
+    DecoratedArrowPresent,
+    DegenerateDenominator,
+    NonPrimitiveInput,
+)
 from splicezeta.monodromy import is_allowed
 from splicezeta.refine import det2, realizable_refine, reduce
 from splicezeta.sdio import (
@@ -24,6 +33,7 @@ from splicezeta.sdio import (
     builder_monomial,
     builder_nv_example2,
     example,
+    parse_sd,
     random_diagram,
 )
 from splicezeta.splice import splice
@@ -124,6 +134,141 @@ def test_validate_matches_the_reference_on_valid_diagrams():
     diagrams += [reduce(random_diagram(s, m)) for s in range(8) for m in (6, 14, 30, 160)]
     for d in diagrams:
         assert validate(d) == validate_reference(d) == []
+
+
+def _redrawn(d, pairs):
+    """d's skeleton with the arrowheads' (N, nu) replaced, in d.arrows order."""
+    return Diagram(d.nodes, d.edges,
+                   [Arrowhead(a.node, a.dec, n, nu) for a, (n, nu) in zip(d.arrows, pairs)])
+
+
+def _bad_data(count):
+    """(N, nu) lists for count arrowheads: clean, then with N < 0 and (0, 0)."""
+    return [[(1, 1)] * count,
+            [(-1, 1)] + [(2, 1)] * (count - 1),
+            [(1, 2)] * (count - 1) + [(0, 0)],
+            [(-2, 3) if i % 2 else (0, 0) for i in range(count)]]
+
+
+SKELETONS = {
+    "nv2": builder_nv_example2(1, 1, 1, 1),
+    "two arrowheads at one node": Diagram(
+        ["v"], [], [Arrowhead("v", 1, 2, 1), Arrowhead("v", 1, 3, 1)]),
+    **{name: INVALID[name] for name in (
+        "unknown node", "decoration < 1", "cycle", "self-loop",
+        "edge decorations not coprime", "arrowhead decoration not coprime",
+        "determinant 0", "determinant < 0")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SKELETONS))
+def test_interned_validate_matches_the_reference(name):
+    base = SKELETONS[name]  # its skeleton may have left the table since
+    d = Diagram(base.nodes, base.edges, base.arrows)
+    for pairs in _bad_data(len(d.arrows)):
+        x = _redrawn(d, pairs)
+        assert x.skeleton is d.skeleton
+        for _ in range(2):  # the second call reads the skeleton's verdict
+            assert validate(x) == validate_reference(x)
+    assert (d.skeleton.verdict is False) == (name in ("unknown node", "decoration < 1"))
+
+
+def test_a_skeleton_is_checked_once(monkeypatch):
+    calls = []
+
+    def counted(d, _original=diagram._skeleton_verdict):
+        calls.append(d.skeleton)
+        return _original(d)
+
+    monkeypatch.setattr(diagram, "_skeleton_verdict", counted)
+    d = Diagram(["p", "q"], [Edge("p", "q", 1, 7)],
+                [Arrowhead("p", 1, 1, 1), Arrowhead("q", 1, 1, 1)])
+    for pairs in _bad_data(2) * 2:
+        validate(_redrawn(d, pairs))
+    assert calls == [d.skeleton]
+
+
+def test_skeleton_table_is_bounded():
+    def chain(k):
+        return Diagram(["p", "q"], [Edge("p", "q", 1, k)],
+                       [Arrowhead("p", 1, 1, 1), Arrowhead("q", 1, 0, 2)])
+
+    def push_out(skeleton):
+        for k in range(3, diagram._SKELETON_BOUND + 12):
+            chain(k)
+            assert len(diagram._skeletons) <= diagram._SKELETON_BOUND
+        assert skeleton not in diagram._skeletons.values()
+        assert skeleton.plan is None  # only the table's skeletons keep a plan
+
+    first = chain(2)
+    validate(first)
+    refined = realizable_refine(first)
+    push_out(first.skeleton)
+    # refining a diagram of an evicted skeleton enters that skeleton again
+    assert realizable_refine(first) == refined
+    assert chain(2).skeleton is first.skeleton
+    push_out(first.skeleton)
+    # with an equal skeleton entered since, both diagrams use its plan
+    again = chain(2)
+    assert again.skeleton is not first.skeleton
+    for d in (first, again):
+        for pairs in _bad_data(2):
+            x = _redrawn(d, pairs)
+            assert validate(x) == validate_reference(x)
+        assert realizable_refine(d) == refined
+    assert first.skeleton.plan is None and again.skeleton.plan is not None
+
+
+_TWICE = Edge("a", "b", 2, 3)
+_FLIPPED = Edge("b", "a", 3, 2)  # oriented anew, so listed twice it is two objects
+_EQUAL_EDGES = {
+    "one object twice": lambda: Diagram(
+        ["a", "b"], [_TWICE, _TWICE], [Arrowhead("a", 1, 1, 1), Arrowhead("b", 1, 1, 1)]),
+    "flipped object twice": lambda: Diagram(
+        ["a", "b"], [_FLIPPED, _FLIPPED], [Arrowhead("a", 1, 1, 1), Arrowhead("b", 1, 1, 1)]),
+    "parsed twice": lambda: parse_sd(
+        "node a\nnode b\nedge a b 2 3\nedge a b 2 3\narrow a 1 1 1\narrow b 1 1 1\n",
+        validated=False),
+}
+_NOT_A_TREE = ["node-edge graph is not a tree",
+               "decorations 2 and 2 at node a are not coprime",
+               "decorations 3 and 3 at node b are not coprime"]
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(_EQUAL_EDGES)))
+def test_equal_edges_keep_their_own_objects(order):
+    # edge_determinant excludes an edge by identity: one Edge object listed
+    # twice leaves no other decoration, two equal Edges leave each other's
+    expected = {
+        "one object twice": (_NOT_A_TREE, 6),
+        "flipped object twice": (_NOT_A_TREE + ["edge a-b has determinant 0 < 1"] * 2,
+                                 NonPrimitiveInput),
+        "parsed twice": (_NOT_A_TREE + ["edge a-b has determinant 0 < 1"] * 2,
+                         NonPrimitiveInput),
+    }
+    for name in order:
+        d = _EQUAL_EDGES[name]()
+        assert d.skeleton not in diagram._skeletons.values()
+        messages, refined = expected[name]
+        assert validate(d) == validate(d) == messages
+        if refined is NonPrimitiveInput:
+            with pytest.raises(NonPrimitiveInput):
+                realizable_refine(d)
+        else:
+            assert len(realizable_refine(d).nodes) == refined
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), m=st.sampled_from([6, 14, 30]), data=st.data())
+def test_interned_validate_equals_the_reference_property(seed, m, data):
+    d = random_diagram(seed, m)
+    for x in (d, reduce(d)):
+        pair = st.tuples(st.integers(-2, 4), st.integers(-2, 4))
+        pairs = data.draw(st.lists(pair, min_size=len(x.arrows), max_size=len(x.arrows)))
+        redrawn = _redrawn(x, pairs)
+        assert redrawn.skeleton is x.skeleton
+        for y in (x, redrawn, redrawn):
+            assert validate(y) == validate_reference(y)
 
 
 def test_validation_warning_on_zero_nu():

@@ -12,7 +12,8 @@ from math import prod
 import pytest
 
 import oracles
-from splicezeta import diagram, refine, zeta
+from memo import forget_plans
+from splicezeta import diagram, zeta
 from splicezeta.algebra import Poly2, _partial_fractions_vanish, _term_fractions
 from splicezeta.cli import main
 from splicezeta.diagram import Arrowhead, Diagram
@@ -170,7 +171,7 @@ def strata_calls(monkeypatch):
         return _original(d)
 
     monkeypatch.setattr(zeta, "_strata", counted)
-    refine._plans.clear()
+    forget_plans()
     return calls
 
 
@@ -190,7 +191,7 @@ def test_verify_splice_computes_each_refinements_strata_once(strata_calls):
     for x in [d] + [h for r in splits for h in (r.left, r.right)]:
         if realizable_refine(x) not in distinct:
             distinct.append(realizable_refine(x))
-    refine._plans.clear()
+    forget_plans()
     assert run_quietly(["verify-splice", "example:nv2"]) == 0
     assert len(strata_calls) == len(distinct) == 6
 
@@ -239,7 +240,7 @@ def side_weight_calls(monkeypatch):
         return _original(d)
 
     monkeypatch.setattr(diagram, "side_weights", counted)
-    refine._plans.clear()
+    forget_plans()
     return calls
 
 

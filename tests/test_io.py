@@ -1,6 +1,7 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splicezeta.diagram import multiplicities, validate
 from splicezeta.errors import DegenerateBranch, ParseError, ValidationError
@@ -68,6 +69,15 @@ def test_roundtrip_identity_canonical():
         d = example(name)
         text = write_sd(d)
         assert write_sd(parse_sd(text)) == text
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), m=st.sampled_from([0, 6, 14, 30]))
+def test_roundtrip_property(seed, m):
+    d = random_diagram(seed, m)
+    for x in (d, reduce(d), d.with_caches(multiplicities(d))):
+        back = parse_sd(write_sd(x))
+        assert back == x and back.skeleton is x.skeleton
 
 
 def test_write_canonicalizes_idempotently():

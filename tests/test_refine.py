@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splicezeta import refine, zeta
+from splicezeta import diagram, refine, zeta
 from splicezeta.diagram import (
     Arrowhead,
     Diagram,
@@ -20,16 +20,19 @@ from splicezeta.errors import (
     NegativeDeterminant,
     NonIntegralInterpolation,
     NonPrimitiveInput,
+    RefinementTooLarge,
     SpliceZetaError,
 )
 from splicezeta.refine import (
     Subdivision,
     canonical_form,
     det2,
+    is_primitive,
     is_realizable,
     isomorphic,
     realizable_refine,
     reduce,
+    refine_all_arrows,
     refine_arrow,
     refine_edge,
     smooth_subdivide_minimal,
@@ -48,6 +51,7 @@ from splicezeta.sdio import (
 from splicezeta.splice import splice
 from splicezeta.zeta import motivic_zeta, top_zeta, twisted_top_zeta
 
+from memo import forget_plans, planned
 from oracles import brute_minimal_chains, toric_values
 
 
@@ -298,7 +302,7 @@ def _memo_corpus():
 
 
 def _cold(d):
-    refine._plans.clear()
+    forget_plans()
     return realizable_refine(d)
 
 
@@ -342,7 +346,7 @@ def test_plan_replays_other_arrow_pairs(monkeypatch):
     colds = [_cold(builder_nv_example2(*t)) for t in grid]
     chains = [_long_chain(30, nu) for nu in (-3, 1, 2, 5)]
     chain_colds = [_cold(d) for d in chains]
-    refine._plans.clear()
+    forget_plans()
     realizable_refine(builder_nv_example2(1, 1, 1, 1))
     realizable_refine(_long_chain(30, 7))
     inserted = _count_chains(monkeypatch)
@@ -352,12 +356,12 @@ def test_plan_replays_other_arrow_pairs(monkeypatch):
     for d, cold in zip(chains, chain_colds):
         assert realizable_refine(d) == cold
     assert not inserted
-    assert len(refine._plans) == 2
+    assert len(planned()) == 2
 
 
 def _raises_alike(bad, good):
     """The error of refining bad on a cold memo, which a plan hit repeats."""
-    refine._plans.clear()
+    forget_plans()
     with pytest.raises(SpliceZetaError) as miss:
         realizable_refine(bad)
     realizable_refine(good)
@@ -391,14 +395,18 @@ def test_plan_hit_raises_what_a_miss_raises():
 
 
 def test_plan_memo_is_bounded():
-    refine._plans.clear()
+    # plans live on interned skeletons, so the intern table bounds them
+    forget_plans()
     first = _long_chain(2)
     realizable_refine(first)
-    for k in range(3, refine._PLAN_BOUND + 12):
+    for k in range(3, diagram._SKELETON_BOUND + 12):
         realizable_refine(_long_chain(k))
-        assert len(refine._plans) <= refine._PLAN_BOUND
-    assert len(refine._plans) == refine._PLAN_BOUND
+        assert len(planned()) <= len(diagram._skeletons) <= diagram._SKELETON_BOUND
+    assert len(diagram._skeletons) == diagram._SKELETON_BOUND
+    # every skeleton the table kept keeps its plan
+    assert len(planned()) == diagram._SKELETON_BOUND
     # the oldest skeleton was dropped, and refines as before
+    assert first.skeleton not in diagram._skeletons.values()
     assert realizable_refine(first) == _cold(first)
 
 
@@ -515,7 +523,7 @@ def maps_built(monkeypatch):
         return _original(plan, d)
 
     monkeypatch.setattr(refine, "_Linking", counted)
-    refine._plans.clear()
+    forget_plans()
     return built
 
 
@@ -530,7 +538,7 @@ def test_one_input_builds_no_linking_map(maps_built):
     twisted_top_zeta(builder_nv_example2(2, 3, 4, 5), 60)
     top_zeta(ensure_cached(d))
     assert not maps_built
-    assert refine._plans[refine._skeleton(d)].linking is None
+    assert d.skeleton.plan.linking is None
 
 
 def test_the_second_standard_input_builds_one_linking_map(maps_built):
@@ -549,7 +557,7 @@ def test_decorated_or_invalid_skeletons_build_no_linking_map(maps_built):
     for t in [(1, 1, 1, 1), (2, 3, 4, 5), (1, 2, 3, 4)]:
         r = splice(builder_nv_example2(*t), ("n3", "n4"))
         halves.append(r.left if r.left.has_decorated_arrow() else r.right)
-    assert len({refine._skeleton(h) for h in halves}) == 1
+    assert len({h.skeleton for h in halves}) == 1
     assert len({h.arrows for h in halves}) == 3
     invalid = [Diagram(["v"], [], [Arrowhead("v", 1, n, 1), Arrowhead("v", 1, 2, 1)])
                for n in (-1, -2, 3)]
@@ -558,3 +566,91 @@ def test_decorated_or_invalid_skeletons_build_no_linking_map(maps_built):
         for _ in range(2):
             assert zeta._refined_strata(d) == _replayed(d)
     assert not maps_built
+
+
+# ---------------------------------------------------------------------------
+# The refinement budget.
+# ---------------------------------------------------------------------------
+
+
+def test_chain_length_matches_the_subdivision():
+    rng = random.Random(5)
+    checked = 0
+    while checked < 400:
+        u, v = [(rng.randint(-60, 60), rng.randint(-60, 60)) for _ in range(2)]
+        if is_primitive(u) and is_primitive(v) and det2(u, v) >= 1:
+            assert refine._chain_length(u, v) == len(smooth_subdivide_minimal(u, v).interior)
+            checked += 1
+    # Fibonacci cones: the longest runs of Euclidean steps for their size
+    fib = [1, 1]
+    while len(fib) < 30:
+        fib.append(fib[-1] + fib[-2])
+    for a, b, c in zip(fib, fib[1:], fib[2:]):
+        u, v = (1, 0), (b, c)
+        assert refine._chain_length(u, v) == len(smooth_subdivide_minimal(u, v).interior)
+    # cones smooth_subdivide_minimal refuses count nothing
+    assert refine._chain_length((2, 0), (1, 1)) == refine._chain_length((0, 1), (1, 0)) == 0
+    assert refine._chain_length((1, 1), (1, 10 ** 100)) == 10 ** 100 - 2
+
+
+def _budget_corpus():
+    for name in EXAMPLES:
+        yield example(name)
+    for s in range(20):
+        for m in (6, 14, 30):
+            yield reduce(random_diagram(s, m))
+    for k in (2, 3, 7, 30, 301):
+        yield _long_chain(k)
+    for s in range(6):  # halves with decorated arrowheads and full caches
+        d = reduce(random_diagram(s, 14))
+        for e in d.edges:
+            r = splice(d, (e.u, e.v))
+            yield r.left
+            yield r.right
+
+
+def _arrow_cones(d):
+    return [refine._arrow_cone(d, a) for a in d.arrows if a.dec != 1]
+
+
+def test_refined_size_is_the_refinement_size():
+    decorated = 0
+    for d in _budget_corpus():
+        cones = [refine._edge_cone(d, e) for e in d.edges] + _arrow_cones(d)
+        assert refine._refined_size(d, cones) == len(realizable_refine(d).nodes)
+        if d.has_decorated_arrow():
+            decorated += 1
+            assert (refine._refined_size(d, _arrow_cones(d))
+                    == len(refine_all_arrows(d).nodes))
+    assert decorated > 10
+
+
+def test_hostile_chain_is_refused_before_any_chain(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a chain was built")
+
+    monkeypatch.setattr(refine, "_chain", refused)
+    d = parse_sd("node a\nnode b\nedge a b 1 10000000\narrow a 1 1 1\narrow b 1 1 1\n")
+    for fn in (realizable_refine, top_zeta, motivic_zeta,
+               lambda x: twisted_top_zeta(x, 2)):
+        with pytest.raises(RefinementTooLarge, match="would have 10000000 nodes"):
+            fn(d)
+    decorated = Diagram(["v"], [], [Arrowhead("v", 10 ** 7, 1, 1), Arrowhead("v", 1, 0, 1)],
+                        {"v": (10 ** 7, 10 ** 7 + 1)})
+    for fn in (realizable_refine, refine_all_arrows):
+        with pytest.raises(RefinementTooLarge):
+            fn(decorated)
+
+
+def test_budget_admits_its_bound(monkeypatch):
+    monkeypatch.setattr(refine, "MAX_REFINED_NODES", 30)
+    fits, over = _long_chain(30), _long_chain(31)
+    forget_plans()
+    assert len(realizable_refine(fits).nodes) == 30
+    with pytest.raises(RefinementTooLarge, match="31 nodes, more than the 30 allowed"):
+        realizable_refine(over)
+    half = next(h for h in _budget_corpus() if h.has_decorated_arrow())
+    size = len(refine_all_arrows(half).nodes)
+    monkeypatch.setattr(refine, "MAX_REFINED_NODES", size - 1)
+    with pytest.raises(RefinementTooLarge):
+        refine_all_arrows(half)
