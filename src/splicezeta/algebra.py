@@ -462,12 +462,25 @@ def _divisors(n):
 class CycloProduct:
     """Finite exponent table n -> e_n for the product of (t^n - 1)^{e_n}."""
 
-    __slots__ = ("exps",)
+    __slots__ = ("exps", "_orders")
 
     def __init__(self, exps=None):
         self.exps = {int(n): int(e) for n, e in (exps or {}).items() if e != 0}
         if any(n <= 0 for n in self.exps):
             raise ValueError("exponents of t must be positive")
+        self._orders = None
+
+    @property
+    def orders(self):
+        """Root order d -> multiplicity of every primitive d-th root of unity,
+        the sum of e_n over the n that d divides; built on first use."""
+        if self._orders is None:
+            table = {}
+            for n, e in self.exps.items():
+                for d in _divisors(n):
+                    table[d] = table.get(d, 0) + e
+            self._orders = table
+        return self._orders
 
     def __eq__(self, other):
         if not isinstance(other, CycloProduct):
@@ -492,14 +505,11 @@ class CycloProduct:
         q = Fraction(q)
         if not 0 <= q < 1:
             raise ValueError("q must lie in [0, 1)")
-        d = q.denominator
-        return sum(e for n, e in self.exps.items() if n % d == 0)
+        return self.orders.get(q.denominator, 0)
 
     def is_polynomial(self):
         """True when every root has nonnegative total multiplicity."""
-        divisors = {d for n in self.exps for d in _divisors(n)}
-        return all(self.multiplicity(Fraction(1, d) % 1 if d > 1 else Fraction(0)) >= 0
-                   for d in divisors)
+        return min(self.orders.values(), default=0) >= 0
 
     def __str__(self):
         if not self.exps:

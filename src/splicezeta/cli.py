@@ -18,16 +18,15 @@ import textwrap
 from fractions import Fraction
 
 from . import sdio
+from .algebra import CycloProduct
 from .diagram import multiplicities, validate, validation_warnings
 from .errors import SpliceZetaError
 from .monodromy import (
+    _eigenvalue_classes,
+    _monodromy_refined,
     auto_twisted_orders,
-    delta0,
-    delta1,
-    eigenvalues,
     is_allowed,
     mc_report,
-    monodromy_zeta,
 )
 from .refine import realizable_refine, reduce
 from .splice import _motivic_identity, _top_identity, splice
@@ -185,10 +184,9 @@ def cmd_verify_splice(args, out):
 
 def cmd_monodromy(args, out):
     d = load_diagram(args.input)
-    z = monodromy_zeta(d)
-    d0 = delta0(d)
-    d1 = delta1(d)
-    eigs = sorted(eigenvalues(d))
+    z, d0_order, d1 = _monodromy_refined(realizable_refine(d))
+    d0 = CycloProduct({d0_order: 1})
+    eigs = sorted(_eigenvalue_classes(d0_order, d1))
     if args.machine:
         out.write(f"zeta={z}\n".replace(" ", ""))
         out.write(f"delta0={d0}\n".replace(" ", ""))

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd
+from operator import ge, gt, itemgetter, le, lt
 
 from .algebra import CycloProduct, _divisors, _partial_fraction_sum
 from .diagram import arrow_refined_weights, valency
@@ -20,14 +21,62 @@ from .refine import realizable_refine, reduce
 from .zeta import _top_terms, poles
 
 
-@dataclass(frozen=True, order=True)
-class EigenvalueClass:
-    q: Fraction
-    multiplicity: int
-    source: str  # "h0" or "h1"
+def _compared_by(op):
+    # q = a/m against r = b/n by a*n against b*m (denominators are positive),
+    # then multiplicity and source
+    def compare(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, m, k, s = self
+        b, n, l, t = other
+        x, y = a * n, b * m
+        return op(x, y) if x != y else op((k, s), (l, t))
+    return compare
 
-    def __hash__(self):  # agrees with the dataclass ==, without hashing a Fraction
-        return hash((self.q.numerator, self.q.denominator, self.multiplicity, self.source))
+
+class EigenvalueClass(tuple):
+    """Eigenvalue class exp(2*pi*i*q) with its multiplicity and source.
+
+    Stored as the ints (a, m) of the reduced q = a/m, the multiplicity and
+    the source ("h0" or "h1"), so that hashing is the C-level tuple hash;
+    `q` is a `Fraction` built on access.  Ordered by (q, multiplicity,
+    source).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, q, multiplicity, source):
+        q = Fraction(q)
+        return tuple.__new__(cls, (q.numerator, q.denominator, multiplicity, source))
+
+    @property
+    def q(self):
+        return Fraction(self[0], self[1])
+
+    multiplicity = property(itemgetter(2))
+    source = property(itemgetter(3))
+
+    def __eq__(self, other):  # never equal to a plain tuple
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    __lt__, __le__, __gt__, __ge__ = map(_compared_by, (lt, le, gt, ge))
+    __hash__ = tuple.__hash__
+
+    def __getnewargs__(self):
+        return self.q, self[2], self[3]
+
+    def __repr__(self):
+        a, m, k, s = self
+        return f"EigenvalueClass(q=Fraction({a}, {m}), multiplicity={k!r}, source={s!r})"
+
+
+def _classes(m, multiplicity, source):
+    """Every class a/m of root order m, built in one C-level pass."""
+    return map(tuple.__new__, repeat(EigenvalueClass), zip(
+        _coprime_residues(m), repeat(m), repeat(multiplicity), repeat(source)))
 
 
 def _f_arrow_gcd(d):
@@ -62,6 +111,17 @@ def _zeta_refined(d):
     return CycloProduct(acc)
 
 
+def _monodromy_refined(d):
+    """(monodromy zeta, f-arrow gcd d0, Delta_1): Delta_0 is t^d0 - 1."""
+    z = _zeta_refined(d)
+    d0_order = _f_arrow_gcd(d)
+    d1 = z * CycloProduct({d0_order: 1})
+    if not d1.is_polynomial():
+        raise NonPolynomialDelta1(
+            "monodromy zeta times Delta_0 has a negative root multiplicity")
+    return z, d0_order, d1
+
+
 def delta0(diagram):
     """t^d - 1 for d the gcd of the f-arrow multiplicities."""
     d_val = _f_arrow_gcd(realizable_refine(diagram))
@@ -70,30 +130,23 @@ def delta0(diagram):
 
 def delta1(diagram):
     """Characteristic polynomial of h1 as a cyclotomic product."""
-    return _delta1_refined(realizable_refine(diagram))
-
-
-def _delta1_refined(d):
-    out = _zeta_refined(d) * CycloProduct({_f_arrow_gcd(d): 1})
-    if not out.is_polynomial():
-        raise NonPolynomialDelta1(
-            "monodromy zeta times Delta_0 has a negative root multiplicity")
-    return out
+    return _monodromy_refined(realizable_refine(diagram))[2]
 
 
 def eigenvalues(diagram):
     """All eigenvalue classes of h0 and h1 with their multiplicities."""
-    refined = realizable_refine(diagram)
-    d1 = _delta1_refined(refined)
-    d0_order = _f_arrow_gcd(refined)
+    _, d0_order, d1 = _monodromy_refined(realizable_refine(diagram))
+    return _eigenvalue_classes(d0_order, d1)
+
+
+def _eigenvalue_classes(d0_order, d1):
+    # the roots of t^d0 - 1 are the classes of every order dividing d0
     out = set()
-    for m in sorted({m for n in d1.exps for m in _divisors(n)}):
-        mult = d1.multiplicity(Fraction(1, m) if m > 1 else Fraction(0))
+    for m, mult in d1.orders.items():
         if mult > 0:
-            out.update(EigenvalueClass(Fraction(a, m), mult, "h1")
-                       for a in _coprime_residues(m))
-    for a in range(d0_order):
-        out.add(EigenvalueClass(Fraction(a, d0_order) % 1, 1, "h0"))
+            out.update(_classes(m, mult, "h1"))
+    for m in _divisors(d0_order):
+        out.update(_classes(m, 1, "h0"))
     return out
 
 
@@ -109,11 +162,9 @@ def _coprime_residues(m):
 
 def is_eigenvalue(diagram, q):
     """True when exp(2*pi*i*q) is an eigenvalue of h0 or h1."""
-    q = Fraction(q) % 1
-    refined = realizable_refine(diagram)
-    if _delta1_refined(refined).multiplicity(q) > 0:
-        return True
-    return _f_arrow_gcd(refined) % q.denominator == 0
+    order = Fraction(q).denominator
+    _, d0_order, d1 = _monodromy_refined(realizable_refine(diagram))
+    return d1.orders.get(order, 0) > 0 or d0_order % order == 0
 
 
 # ---------------------------------------------------------------------------
@@ -213,19 +264,19 @@ def mc_report(diagram, twisted_orders=()):
     decorated arrowhead at a node adds a leg to its star.
     """
     refined = realizable_refine(diagram)
-    d1 = _delta1_refined(refined)
-    d0_order = _f_arrow_gcd(refined)
+    _, d0_order, d1 = _monodromy_refined(refined)
     branch_orders = sorted({a.N for a in refined.arrows if a.N >= 2})
 
     def classify(z, kind):
         recs = []
         for s0, mult in poles(z):
-            q = Fraction(s0) % 1
-            if d0_order % q.denominator == 0:
+            q = s0 % 1
+            order = q.denominator
+            if d0_order % order == 0:
                 via = "h0"
-            elif d1.multiplicity(q) > 0:
+            elif d1.orders.get(order, 0) > 0:
                 via = "h1"
-            elif any(n % q.denominator == 0 for n in branch_orders):
+            elif any(n % order == 0 for n in branch_orders):
                 via = "branch"
             else:
                 via = "none"

@@ -14,9 +14,12 @@ partial-fraction and Euler-specialization kernels (`term_fractions`,
 `partial_fractions_vanish`, `specialize_chi_top`) are the earlier versions of
 the package's integer ones, kept to test that those agree with them, and
 `validate_reference` is the earlier `validate`, with one outer product per
-edge end.
+edge end.  `eigenvalues_reference` is the earlier `eigenvalues`: one frozen
+dataclass around one `Fraction(a, m)` per class, with the multiplicity of
+each root order summed over the exponent table of Delta_1.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -25,6 +28,7 @@ import sympy as sp
 from splicezeta.algebra import Poly2, RatFuncS, _poly_mul, _poly_trim
 from splicezeta.diagram import Arrowhead, _is_tree, edge_determinant, edge_sides
 from splicezeta.errors import PoleAtOne
+from splicezeta.monodromy import delta0, delta1
 
 
 def det(a, b):
@@ -571,4 +575,31 @@ def validate_reference(d):
         q = edge_determinant(d, e)
         if q < 1:
             out.append(f"edge {e.u}-{e.v} has determinant {q} < 1")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Eigenvalue classes, one Fraction per class.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, order=True)
+class EigenvalueClass:
+    """The earlier class, whose repr and order the package's class keeps."""
+    q: Fraction
+    multiplicity: int
+    source: str
+
+
+def eigenvalues_reference(diagram):
+    """The classes a/m of every root order m with positive multiplicity in
+    Delta_1, and a/d0 mod 1 for Delta_0 = t^d0 - 1."""
+    exps = delta1(diagram).exps
+    (d0,) = delta0(diagram).exps
+    out = set()
+    for m in sorted({m for n in exps for m in sp.divisors(n)}):
+        mult = sum(e for n, e in exps.items() if n % m == 0)
+        if mult > 0:
+            out.update(EigenvalueClass(Fraction(a, m), mult, "h1")
+                       for a in range(m) if gcd(a, m) == 1)
+    out.update(EigenvalueClass(Fraction(a, d0) % 1, 1, "h0") for a in range(d0))
     return out

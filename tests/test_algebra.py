@@ -6,6 +6,7 @@ import pytest
 from splicezeta.algebra import CycloProduct, Poly2, RatFuncS, _partial_fraction_sum
 
 from oracles import (
+    _phi_multiplicity,
     binomial_l_minus_t,
     fold_sum,
     mul_binomial,
@@ -186,6 +187,24 @@ def test_cyclo_multiplicity_matches_expansion_with_negatives():
     for d in (1, 2, 3, 6):
         q = Fraction(1, d) if d > 1 else Fraction(0)
         assert p.multiplicity(q) == root_order(exps, q)
+
+
+def test_cyclo_order_table_matches_expansion():
+    # orders[d] is the vanishing order at every primitive d-th root of unity;
+    # its keys are the divisors of the exponents and no other order vanishes
+    rng = random.Random(17)
+    for _ in range(8):
+        exps = {rng.randint(1, 24): rng.choice([-2, -1, 1, 2])
+                for _ in range(rng.randint(1, 4))}
+        p = CycloProduct(exps)
+        pos = {n: e for n, e in p.exps.items() if e > 0}
+        neg = {n: -e for n, e in p.exps.items() if e < 0}
+        want = {d: _phi_multiplicity(pos, d) - _phi_multiplicity(neg, d)
+                for d in range(1, 25)}
+        assert set(p.orders) == {d for n in p.exps for d in range(1, n + 1) if n % d == 0}
+        assert all(p.orders.get(d, 0) == v for d, v in want.items()), exps
+        assert p.is_polynomial() == all(v >= 0 for v in want.values())
+        assert all(p.multiplicity(Fraction(1, d) % 1) == v for d, v in want.items())
 
 
 def test_cyclo_product_and_polynomiality():

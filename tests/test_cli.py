@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from splicezeta import cli, refine
+from splicezeta import cli, monodromy, refine
 from splicezeta.cli import main
 from splicezeta.diagram import Arrowhead, Diagram
 from splicezeta.sdio import EXAMPLES, example, write_sd
@@ -225,6 +225,19 @@ def test_monodromy_output(capsys):
     code, out, _ = run_cli("monodromy", "example:nv2", capsys=capsys)
     assert code == 0
     assert "(t^60 - 1)*(t^330 - 1) / ((t^15 - 1)*(t^20 - 1)*(t^66 - 1))" in out
+
+
+def test_monodromy_resolves_once(monkeypatch, capsys):
+    # the zeta, Delta_0, Delta_1 and the classes all come off one refinement
+    calls = []
+    for mod in (cli, monodromy):
+        monkeypatch.setattr(mod, "realizable_refine", lambda d, _r=mod.realizable_refine:
+                            calls.append("refine") or _r(d))
+    monkeypatch.setattr(monodromy, "_zeta_refined", lambda d, _z=monodromy._zeta_refined:
+                        calls.append("zeta") or _z(d))
+    assert main(["monodromy", "--machine", "example:nv2"]) == 0
+    assert calls == ["refine", "zeta"]
+    capsys.readouterr()
 
 
 def test_allowed_output(capsys):

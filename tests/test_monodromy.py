@@ -1,12 +1,22 @@
+import copy
+import hashlib
+import pickle
+import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splicezeta.algebra import CycloProduct, _divisors
 from splicezeta.diagram import Arrowhead, Diagram
 from splicezeta import monodromy
-from splicezeta.errors import CacheMismatch, NoFArrow, NonPolynomialDelta1
+from splicezeta.errors import (
+    CacheMismatch,
+    NoFArrow,
+    NonPolynomialDelta1,
+    SpliceZetaError,
+)
 from splicezeta.monodromy import (
     EigenvalueClass,
     auto_twisted_orders,
@@ -29,7 +39,8 @@ from splicezeta.sdio import (
 )
 from splicezeta.zeta import motivic_zeta, poles, top_zeta
 
-from oracles import expand_cyclo
+import oracles
+from oracles import eigenvalues_reference, expand_cyclo
 
 
 def test_monodromy_zeta_cusp():
@@ -90,7 +101,7 @@ def test_delta1_rejects_inconsistent_cached_diagram():
     # refined without the check, the chain gives zeta = 1/(t^5 - 1) against
     # Delta_0 = t^3 - 1, which is not a polynomial quotient
     with pytest.raises(NonPolynomialDelta1):
-        monodromy._delta1_refined(refine_all_arrows(d))
+        monodromy._monodromy_refined(refine_all_arrows(d))
 
 
 def test_eigenvalues_cusp():
@@ -114,6 +125,139 @@ def test_eigenvalue_class_hash_agrees_with_equality():
         assert twin == a and hash(twin) == hash(a)
         assert all(hash(a) == hash(b) for b in classes if a == b)
     assert len(set(classes)) == len({(c.q, c.multiplicity, c.source) for c in classes})
+
+
+def _assert_eigenvalues_match_reference(d):
+    try:
+        want = eigenvalues_reference(d)
+    except SpliceZetaError as exc:
+        with pytest.raises(type(exc)):
+            eigenvalues(d)
+        return
+    got = eigenvalues(d)
+    assert got == {EigenvalueClass(c.q, c.multiplicity, c.source) for c in want}
+    # the dataclass order (q, multiplicity, source) by exact integer keys:
+    # its own Fraction comparisons take seconds on 10^5 classes
+    scale = lcm(*(c.q.denominator for c in want))
+    want_sorted = sorted(want, key=lambda c: (
+        c.q.numerator * (scale // c.q.denominator), c.multiplicity, c.source))
+    assert repr(sorted(got)) == repr(want_sorted)
+
+
+def test_eigenvalues_equal_the_reference_on_examples():
+    # the monomials have Delta_0 = t^6 - 1 and t^15 - 1: h0 of several orders
+    for d in [*(example(name) for name in sorted(EXAMPLES)),
+              builder_monomial(12, 18, 1, 1), builder_monomial(30, 45, 1, 1)]:
+        _assert_eigenvalues_match_reference(d)
+
+
+@settings(derandomize=True, database=None, max_examples=8, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), m=st.integers(1, 160))
+def test_eigenvalues_equal_the_reference_property(seed, m):
+    _assert_eigenvalues_match_reference(reduce(random_diagram(seed, m)))
+
+
+def test_eigenvalue_class_golden_repr():
+    assert repr(sorted(eigenvalues(example("cusp")))) == (
+        "[EigenvalueClass(q=Fraction(0, 1), multiplicity=1, source='h0'), "
+        "EigenvalueClass(q=Fraction(1, 6), multiplicity=1, source='h1'), "
+        "EigenvalueClass(q=Fraction(5, 6), multiplicity=1, source='h1')]")
+    text = repr(sorted(eigenvalues(example("nv2"))))
+    assert text.startswith(
+        "[EigenvalueClass(q=Fraction(0, 1), multiplicity=1, source='h0'), "
+        "EigenvalueClass(q=Fraction(1, 330), multiplicity=1, source='h1'), "
+        "EigenvalueClass(q=Fraction(1, 165), multiplicity=1, source='h1'), ")
+    assert text.count("EigenvalueClass(") == 283
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "cb124299e0ee949431535edec2b181eb5164a6e161523b5d21baf6de22975f13")
+
+
+def test_eigenvalue_class_construction():
+    for q, want in [(Fraction(1, 6), Fraction(1, 6)), (0, Fraction(0)),
+                    (Fraction(5, 10), Fraction(1, 2))]:
+        c = EigenvalueClass(q, 2, "h1")
+        assert type(c.q) is Fraction and c.q == want
+        assert (c.multiplicity, c.source) == (2, "h1")
+        assert repr(c) == repr(oracles.EigenvalueClass(want, 2, "h1"))
+    assert repr(EigenvalueClass(Fraction(5, 10), 1, "h0")) == (
+        "EigenvalueClass(q=Fraction(1, 2), multiplicity=1, source='h0')")
+    half = EigenvalueClass(Fraction(1, 2), 1, "h1")
+    assert half == EigenvalueClass(Fraction(2, 4), 1, "h1")
+    assert hash(half) == hash(EigenvalueClass(Fraction(2, 4), 1, "h1"))
+    assert half != EigenvalueClass(Fraction(1, 2), 1, "h0")
+    assert half != (1, 2, 1, "h1") and (1, 2, 1, "h1") != half
+
+
+def test_eigenvalue_class_is_immutable():
+    c = EigenvalueClass(Fraction(1, 6), 1, "h1")
+    for name, value in [("q", Fraction(1, 3)), ("multiplicity", 2),
+                        ("source", "h0"), ("other", 1)]:
+        with pytest.raises(AttributeError):
+            setattr(c, name, value)
+    assert c == EigenvalueClass(Fraction(1, 6), 1, "h1")
+    assert pickle.loads(pickle.dumps(c)) == c and copy.deepcopy({c}) == {c}
+
+
+def test_eigenvalue_class_order_matches_the_reference():
+    # ties on q broken by multiplicity, then by source, as the dataclass did
+    triples = [(Fraction(1, 2), 1, "h1"), (Fraction(1, 2), 1, "h0"),
+               (Fraction(1, 2), 2, "h1"), (Fraction(0), 1, "h1"),
+               (Fraction(0), 1, "h0"), (Fraction(1, 3), 3, "h1"),
+               (Fraction(2, 3), 1, "h1"), (Fraction(-1, 4), 1, "h1")]
+    rng = random.Random(3)
+    triples += [(Fraction(rng.randint(-3, 20), rng.randint(1, 20)),
+                 rng.randint(1, 2), rng.choice(["h0", "h1"])) for _ in range(60)]
+    got = [EigenvalueClass(*t) for t in triples]
+    want = [oracles.EigenvalueClass(*t) for t in triples]
+    assert repr(sorted(got)) == repr(sorted(want))
+    for i in range(len(triples)):
+        for j in range(len(triples)):
+            a, b, x, y = got[i], got[j], want[i], want[j]
+            assert ((a < b, a <= b, a > b, a >= b, a == b, a != b)
+                    == (x < y, x <= y, x > y, x >= y, x == y, x != y))
+
+
+def _fraction_calls(monkeypatch, fn, *args):
+    """How many Fractions fn(*args) builds."""
+    calls = []
+    new = Fraction.__new__
+
+    def counted(cls, *a, **k):
+        calls.append(1)
+        return new(cls, *a, **k)
+
+    with monkeypatch.context() as m:
+        m.setattr(Fraction, "__new__", staticmethod(counted))
+        fn(*args)
+    return len(calls)
+
+
+def test_eigenvalue_questions_build_no_fraction_per_class(monkeypatch):
+    d = example("nv2")
+    orders = auto_twisted_orders(d, bound=12)
+    mc_report(d, orders)  # warm the refinement memo
+    assert _fraction_calls(monkeypatch, eigenvalues, d) == 0
+    assert _fraction_calls(monkeypatch, delta1, d) == 0
+    assert _fraction_calls(monkeypatch, CycloProduct({330: 1, 60: 1, 1: 1, 15: -1})
+                           .is_polynomial) == 0
+    # one Fraction for the query itself
+    assert _fraction_calls(monkeypatch, is_eigenvalue, d, Fraction(1, 110)) == 1
+    # mc_report adds to its zetas, poles and allowed-form check one Fraction
+    # per pole, the pole's class in its record
+    def zetas():
+        return [monodromy._partial_fraction_sum(monodromy._top_terms(d, e))
+                for e in (None, *orders)]
+
+    def pieces():
+        for z in zetas():
+            poles(z)
+        is_allowed(d)
+
+    n_poles = sum(len(poles(z)) for z in zetas())
+
+    assert n_poles > 10
+    assert (_fraction_calls(monkeypatch, mc_report, d, orders)
+            == _fraction_calls(monkeypatch, pieces) + n_poles)
 
 
 def test_zero_class_always_eigenvalue():
