@@ -242,13 +242,13 @@ class RatFuncS:
         return _poly_eval(self.num, x) / dv
 
     def pole_list(self):
-        """Surviving poles as (location, multiplicity), grouped by location."""
+        """Surviving poles as (location, multiplicity), grouped by _root pair."""
         acc = {}
         for (n, nu), m in self.den:
             if n > 0:
-                r = Fraction(-nu, n)
+                r = _root(n, nu)
                 acc[r] = acc.get(r, 0) + m
-        return sorted(acc.items())
+        return sorted((Fraction(*r), m) for r, m in acc.items())
 
     def _num_str(self, compact):
         if not self.num:

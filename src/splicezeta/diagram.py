@@ -92,13 +92,15 @@ _SKELETON_BOUND = 64
 _skeletons = {}  # (nodes, edges, arrow_decs) -> Skeleton, oldest first
 _ENDS = attrgetter("u", "v")
 _NODE_DEC = attrgetter("node", "dec")
+# the dataclasses' order, at C level
+_EDGE_ORDER, _ARROW_ORDER = attrgetter("u", "v", "du", "dv"), attrgetter("node", "dec", "N", "nu")
 
 
 def sorted_parts(nodes, edges):
     """(nodes, edges) as a Diagram keeps them: sorted, each edge from its
     smaller node."""
-    return (tuple(sorted(nodes)),
-            tuple(sorted(e if e.u <= e.v else Edge(e.v, e.u, e.dv, e.du) for e in edges)))
+    oriented = (e if e.u <= e.v else Edge(e.v, e.u, e.dv, e.du) for e in edges)
+    return tuple(sorted(nodes)), tuple(sorted(oriented, key=_EDGE_ORDER))
 
 
 def _enter(key, skeleton):
@@ -128,7 +130,7 @@ class Diagram:
     __slots__ = ("nodes", "edges", "arrows", "caches", "skeleton", "_strata")
 
     def __init__(self, nodes, edges, arrows, caches=None):
-        self.arrows = arrows = tuple(sorted(arrows))
+        self.arrows = arrows = tuple(sorted(arrows, key=_ARROW_ORDER))
         key = (*sorted_parts(nodes, edges), tuple(map(_NODE_DEC, arrows)))
         skeleton = self.skeleton = _skeletons.get(key) or _enter(key, Skeleton(*key))
         self.nodes, self.edges = skeleton.nodes, skeleton.edges

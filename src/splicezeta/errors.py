@@ -49,6 +49,10 @@ class RefinementTooLarge(SpliceZetaError):
     """A refinement would have more nodes than refine.MAX_REFINED_NODES."""
 
 
+class ExpansionTooLarge(SpliceZetaError):
+    """A zeta comparison would exceed zeta.MAX_PROGRESSIONS or zeta.MAX_SUPPORT."""
+
+
 class NotAnEdge(SpliceZetaError):
     """The requested node pair is not an edge of the diagram."""
 

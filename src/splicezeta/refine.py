@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from itertools import groupby
 from math import gcd, prod
+from operator import attrgetter, mul
 
 from .diagram import (
     Arrowhead,
@@ -33,6 +34,8 @@ from .errors import (
     NotAnEdge,
     RefinementTooLarge,
 )
+
+_N, _NU = attrgetter("N"), attrgetter("nu")
 
 
 def det2(a, b):
@@ -453,7 +456,7 @@ class _Linking:
     """
 
     __slots__ = ("names", "columns", "const", "inputs", "valencies", "edge_ends",
-                 "arrow_at")
+                 "arrow_at", "kept")
 
     def __init__(self, plan, d):
         tree = plan.tree
@@ -493,6 +496,7 @@ class _Linking:
             at[i] += 1
         self.valencies = [len(near) + k for near, k in zip(steps, at)]
         self.edge_ends = [(index[e.u], index[e.v]) for e in tree.edges]
+        self.kept = {}  # see twisted, oldest first
 
     def strata(self, d):
         """zeta._strata(realizable_refine(d)), with the errors that raises
@@ -523,11 +527,35 @@ class _Linking:
         return (list(zip(pairs, self.valencies)),
                 [(pairs[u], pairs[v]) for u, v in self.edge_ends], arrows)
 
+    def twisted(self, d, order):
+        """self.strata(d) cut to the strata whose N's order divides, for d without caches, with
+        nu only at the kept nodes (strata raises for a (0, 0) pair, whose N is 0).  kept maps
+        the latest _RECENT (order, N's) to the kept nodes, edges and (arrowhead, node) pairs."""
+        ns = tuple(map(_N, d.arrows))
+        if (order, ns) not in self.kept:
+            by_node = list(zip(*self.columns)) or [()] * len(self.const)
+            rows = [(i, self.const[i], row, n, self.valencies[i]) for i, row in enumerate(by_node)
+                    if (n := sum(map(mul, ns, row))) % order == 0]
+            at = {row[0] for row in rows}
+            self.kept[order, ns] = (
+                rows, [(u, v) for u, v in self.edge_ends if u in at and v in at],
+                [(j, i) for j, i in enumerate(self.arrow_at) if i in at and ns[j] % order == 0])
+            self.kept = dict(list(self.kept.items())[-_RECENT:])
+        rows, edges, arrows = self.kept[order, ns]
+        nus = list(map(_NU, d.arrows))
+        pairs = {i: (c + sum(map(mul, nus, row)), n) for i, c, row, n, _ in rows}
+        if (0, 0) in pairs.values() or (0, 0) in zip(nus, ns):
+            self.strata(d)
+        return ([(pairs[i], delta) for i, _, _, _, delta in rows],
+                [(pairs[u], pairs[v]) for u, v in edges],
+                [(pairs[i], (nus[j], ns[j])) for j, i in arrows])
 
-def refined_strata(d, strata_of):
+
+def refined_strata(d, strata_of, order=None):
     """strata_of(realizable_refine(d)), kept on that refinement, or the same
     strata from the linking map of d's plan where it has one for d (strata_of
-    is zeta._strata, which _Linking.strata reproduces).
+    is zeta._strata, which _Linking.strata reproduces); with an order, only the
+    strata whose N's it divides, from the map's twisted for an input without caches.
 
     A skeleton gets a map on the first input whose arrowheads no recent
     input of its plan had, e.g. the second point of a form-parameter sweep,
@@ -541,15 +569,22 @@ def refined_strata(d, strata_of):
             and all(x.arrows != d.arrows for x, _ in plan.recent):
         plan.linking = False if validate(d) else _Linking(plan, d)
     if plan is not None and plan.linking:
+        if order is not None and not d.caches:
+            return plan.linking.twisted(d, order)
         strata = next((y for x, y in plan.linked if x is d), None)
         if strata is None:
             strata = plan.linking.strata(d)
             plan.linked = (plan.linked + [(d, strata)])[-_RECENT:]
-        return strata
-    out = realizable_refine(d)
-    if out._strata is None:
-        out._strata = strata_of(out)
-    return out._strata
+    else:
+        out = realizable_refine(d)
+        if out._strata is None:
+            out._strata = strata_of(out)
+        strata = out._strata
+    nodes, edges, arrows = strata
+    return strata if order is None else (
+        [(pair, delta) for pair, delta in nodes if pair[1] % order == 0],
+        [(p, q) for p, q in edges if not (p[1] % order or q[1] % order)],
+        [(p, q) for p, q in arrows if not (p[1] % order or q[1] % order)])
 
 
 def reduce(d):

@@ -10,15 +10,17 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from fractions import Fraction
+from itertools import takewhile
 from math import gcd, prod
 from operator import mul
 
 from .algebra import Poly2, _div_linear, _partial_fraction_sum
-from .errors import DegenerateDenominator, PoleAtOne
+from .errors import DegenerateDenominator, ExpansionTooLarge, PoleAtOne
 from .refine import realizable_refine, refined_strata
 
 L_MINUS_1 = Poly2({(1, 0): 1, (0, 0): -1})
 L_MINUS_1_SQ = L_MINUS_1 * L_MINUS_1
+MAX_PROGRESSIONS, MAX_SUPPORT = 1_000_000, 5_000_000  # Budget 2, see _expansion_vanishes
 
 
 class ZetaExpr:
@@ -133,6 +135,8 @@ def _expansion_vanishes(z):
     function of the position, found by a sort and sweep of the start
     positions.  Only its nonzero stretches are added into one table of
     points, which is all zero exactly when the expansion is.
+    Budget 2: ExpansionTooLarge above MAX_PROGRESSIONS progressions, counted
+    before the row sweep, or MAX_SUPPORT points, counted before any is added.
     """
     mult = z.pairs()
     cones = defaultdict(lambda: defaultdict(int))  # apex -> L-exponent -> coeff
@@ -149,20 +153,28 @@ def _expansion_vanishes(z):
     # coset (N, nu, t mod N, l + nu (t div N)) -> start position t div N -> sum
     # of the coefficients of the progressions that start there
     cosets = defaultdict(lambda: defaultdict(int))
+    rows, progressions = [], 0
     for (t0, steps), mons in cones.items():
+        mons = [(l, c) for l, c in mons.items() if c]
         corners = [(t0, 0)]  # (T-degree, L-shift) of each row's first point
-        for nu, n in steps[:-1]:
+        for nu, n in steps[:-1]:  # k = 0 keeps each corner: a lower bound
+            size = sum((bound - t) // n + 1 for t, _ in corners if t <= bound)
+            _budget(progressions + len(mons) * size, MAX_PROGRESSIONS, "progressions")
             corners = [(t + n * k, x - nu * k) for t, x in corners
                        for k in range((bound - t) // n + 1)]
-        nu, n = steps[-1] if steps else (0, bound + 1)  # no steps: one point
-        mons = [(l, c) for l, c in mons.items() if c]
+        progressions += len(corners) * len(mons)
+        _budget(progressions, MAX_PROGRESSIONS, "progressions")
+        rows.append((corners, steps[-1] if steps else (0, bound + 1), mons))  # else one point
+    while rows:
+        corners, (nu, n), mons = rows.pop()
         for t, x in corners:
             q, r = divmod(t, n)
             x += nu * q
             for l, c in mons:
                 cosets[n, nu, r, x + l][q] += c
-    points = defaultdict(int)  # (T-degree, L-exponent) -> coefficient
-    for (n, nu, r, inv), starts in cosets.items():
+    stretches, support = [], 0
+    while cosets:
+        (n, nu, r, inv), starts = cosets.popitem()
         # every progression of a coset runs on to its last point of T-degree
         # at most bound, so they all end before one position, and the sum of
         # the progressions is constant between consecutive start positions
@@ -172,16 +184,27 @@ def _expansion_vanishes(z):
         for i in range(len(qs) - 1):
             run += starts[qs[i]]
             if run:
-                for q in range(qs[i], qs[i + 1]):
-                    points[r + n * q, inv - nu * q] += run
+                stretches.append((n, nu, r, inv, qs[i], qs[i + 1], run))
+                support += qs[i + 1] - qs[i]
+    _budget(support, MAX_SUPPORT, "support points")
+    points = defaultdict(int)  # (T-degree, L-exponent) -> coefficient
+    for n, nu, r, inv, q0, q1, run in stretches:
+        for q in range(q0, q1):
+            points[r + n * q, inv - nu * q] += run
     return not any(points.values())
+
+
+def _budget(count, limit, what):
+    if count > limit:
+        raise ExpansionTooLarge(f"the zeta comparison needs at least {count} {what}, "
+                                f"more than the {limit} allowed")
 
 
 def _without_content(coeffs):
     """The coefficients divided by L - 1 for as long as it divides them all."""
     while coeffs:
-        quotients = [_over_l_minus_1(c) for c in coeffs]
-        if any(q is None for q in quotients):
+        quotients = list(takewhile(lambda q: q is not None, map(_over_l_minus_1, coeffs)))
+        if len(quotients) < len(coeffs):
             break
         coeffs = quotients
     return coeffs
@@ -195,10 +218,10 @@ def _over_l_minus_1(coeff):
         rows[b][a] = c
     out = {}
     for b, row in rows.items():
+        if sum(row.values()):  # the value at L = 1
+            return None
         lo = min(row)
         dense = [row.get(a, 0) for a in range(lo, max(row) + 1)]
-        if sum(dense):  # the value at L = 1
-            return None
         out.update(((lo + k, b), c) for k, c in enumerate(_div_linear(dense, 1, -1)) if c)
     return Poly2(out) if len(out) <= len(coeff.terms) else None
 
@@ -258,11 +281,7 @@ def _top_terms(diagram, order=None):
     """(chi, (N, nu) pairs) terms of the (possibly twisted) topological zeta."""
     if order is not None and order < 1:
         raise ValueError("order must be a positive integer")
-    nodes, edges, arrows = _refined_strata(diagram)
-    if order is not None:
-        nodes = [(pair, delta) for pair, delta in nodes if pair[1] % order == 0]
-        edges = [(p, q) for p, q in edges if not (p[1] % order or q[1] % order)]
-        arrows = [(p, q) for p, q in arrows if not (p[1] % order or q[1] % order)]
+    nodes, edges, arrows = refined_strata(diagram, _strata, order)
     terms = [(2 - delta, ((n, nu),)) for (nu, n), delta in nodes if delta != 2]
     return terms + [(1, ((n, nu), (m, mu))) for (nu, n), (mu, m) in edges + arrows]
 

@@ -213,3 +213,21 @@ def test_cyclo_product_and_polynomiality():
     assert delta1.is_polynomial()
     assert not CycloProduct({2: -1}).is_polynomial()
     assert str(zeta) == "(t^6 - 1) / ((t^2 - 1)*(t^3 - 1))"
+
+
+def test_pole_list_groups_factors_by_their_reduced_root():
+    rng = random.Random(61)
+    for _ in range(300):
+        den = {}
+        for _ in range(rng.randint(0, 5)):
+            g = rng.randint(1, 4)  # equal roots from unreduced factors
+            p = (g * rng.randint(0, 6), g * rng.randint(-9, 9))
+            if p != (0, 0):
+                den[p] = den.get(p, 0) + rng.randint(1, 3)
+        f = RatFuncS((1,), den.items(), 1)
+        grouped = {}
+        for (n, nu), m in f.den:
+            if n > 0:
+                grouped[Fraction(-nu, n)] = grouped.get(Fraction(-nu, n), 0) + m
+        assert f.pole_list() == sorted(grouped.items())
+        assert all(type(s) is Fraction for s, _ in f.pole_list())

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from splicezeta import cli, monodromy, refine
+from splicezeta import cli, monodromy, refine, zeta
 from splicezeta.cli import main
 from splicezeta.diagram import Arrowhead, Diagram
 from splicezeta.sdio import EXAMPLES, example, write_sd
@@ -152,6 +152,14 @@ def test_unknown_flag_rejected(capsys):
         main(["zeta", "--frobnicate", "example:cusp"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_expansion_budget_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(zeta, "MAX_SUPPORT", 6817)  # n3-n4 of nv2 needs 6 818
+    code, out, err = run_cli("verify-splice", "--machine", "example:nv2", capsys=capsys)
+    assert code == 2 and "Traceback" not in err
+    assert err == ("error: the zeta comparison needs at least 6818 support points, "
+                   "more than the 6817 allowed\n")
 
 
 def test_unexpected_exception_is_internal_error(monkeypatch, capsys):

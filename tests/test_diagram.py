@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -256,6 +257,22 @@ def test_equal_edges_keep_their_own_objects(order):
                 realizable_refine(d)
         else:
             assert len(realizable_refine(d).nodes) == refined
+
+
+def test_diagram_parts_sort_as_the_dataclass_order():
+    rng = random.Random(67)
+    for _ in range(200):
+        arrows = [Arrowhead(rng.choice("ab"), rng.randint(1, 2), rng.randint(0, 2),
+                            rng.randint(0, 2)) for _ in range(rng.randint(0, 6))]
+        edges = [Edge(*rng.sample("abc", 2), rng.randint(1, 2), rng.randint(1, 2))
+                 for _ in range(rng.randint(0, 4))]
+        d = Diagram(["a", "b", "c"], edges, arrows)
+        # equal objects keep their input order, as in a stable sort by __lt__
+        assert list(map(id, d.arrows)) == list(map(id, sorted(arrows)))
+        oriented = [e if e.u <= e.v else Edge(e.v, e.u, e.dv, e.du) for e in edges]
+        assert diagram.sorted_parts(d.nodes, edges)[1] == tuple(sorted(oriented))
+        assert (list(map(id, diagram.sorted_parts(d.nodes, oriented)[1]))
+                == list(map(id, sorted(oriented))))
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)

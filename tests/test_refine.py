@@ -49,7 +49,7 @@ from splicezeta.sdio import (
     write_sd,
 )
 from splicezeta.splice import splice
-from splicezeta.zeta import motivic_zeta, top_zeta, twisted_top_zeta
+from splicezeta.zeta import motivic_zeta, poles, top_zeta, twisted_top_zeta
 
 from memo import forget_plans, planned
 from oracles import brute_minimal_chains, toric_values
@@ -506,6 +506,124 @@ def test_linking_map_equals_the_replay_property(seed, m, data):
     linking = _linking(d)
     for x in (d, redrawn):
         assert _outcome(linking.strata, x) == _outcome(_replayed, x)
+
+
+# ---------------------------------------------------------------------------
+# Twisted strata: only the strata an order keeps, from the linking map.
+# ---------------------------------------------------------------------------
+
+SWEEP_GRID = [t for t in itertools.product(range(6), range(6), range(10), range(10))
+              if 0 not in t[:3]]
+TWIST_ORDERS = (1, 2, 3, 60, 330)
+
+
+def _divisible(strata, order):
+    """The strata whose N's order divides, as the twisted zeta filters them."""
+    nodes, edges, arrows = strata
+    return ([(pair, delta) for pair, delta in nodes if pair[1] % order == 0],
+            [(p, q) for p, q in edges if not (p[1] % order or q[1] % order)],
+            [(p, q) for p, q in arrows if not (p[1] % order or q[1] % order)])
+
+
+def _filtered_replay(order):
+    return lambda d: _divisible(_replayed(d), order)
+
+
+def test_twisted_strata_equal_the_filtered_strata_on_the_sweep_grid():
+    linking = _linking(builder_nv_example2(1, 1, 1, 1))
+    kept = set()
+    for t in SWEEP_GRID:
+        d = builder_nv_example2(*t)
+        full = linking.strata(d)
+        for order in TWIST_ORDERS:
+            twisted = linking.twisted(d, order)
+            assert twisted == _divisible(full, order), (t, order)
+            kept.add((order, sum(map(len, twisted))))
+    # order 1 keeps every stratum; 60 and 330 keep one term's worth
+    assert {n for order, n in kept if order == 1} == {sum(map(len, full))}
+    assert {n for order, n in kept if order == 330} == {1}
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), m=st.sampled_from([6, 14, 30]),
+       no_n=st.booleans(), order=st.sampled_from([1, 2, 3, 6]), data=st.data())
+def test_twisted_strata_equal_the_filtered_replay_property(seed, m, no_n, order, data):
+    d = reduce(random_diagram(seed, m))
+    n = st.just(0) if no_n else st.integers(0, 6)
+    pair = st.tuples(n, st.integers(-4, 8)).filter(lambda p: p != (0, 0))
+    pairs = data.draw(st.lists(pair, min_size=len(d.arrows), max_size=len(d.arrows)))
+    redrawn = Diagram(d.nodes, d.edges,
+                      [Arrowhead(a.node, 1, n, nu) for a, (n, nu) in zip(d.arrows, pairs)])
+    linking = _linking(d)
+    for x in (d, redrawn):
+        assert (_outcome(lambda y: linking.twisted(y, order), x)
+                == _outcome(_filtered_replay(order), x))
+
+
+def test_twisted_strata_raise_what_the_filtered_replay_raises():
+    nv2 = builder_nv_example2(1, 1, 1, 1)
+    cases = [
+        # every N is 0: the input nodes are (0, 6) and (0, 2), a.b.1 is (0, 0)
+        Diagram(["a", "b"], [Edge("a", "b", 1, 3)],
+                [Arrowhead("a", 1, 0, 2), Arrowhead("b", 1, 0, -1)]),
+        # the input node a has (0, 0)
+        parse_sd("node a\narrow a 1 0 1\narrow a 1 0 -1\n"),
+        # a (0, 0) arrowhead at n1, whose N (66) not every order divides
+        Diagram(nv2.nodes, nv2.edges,
+                [Arrowhead("n1", 1, 0, 0)] + [a for a in nv2.arrows if a.node != "n1"]),
+    ]
+    messages = set()
+    for bad in cases:
+        linking = _linking(bad)
+        for order in (1, 7, 60, 330):
+            expected = _outcome(_filtered_replay(order), bad)
+            assert expected[:2] == ("raised", DegenerateDenominator)
+            assert _outcome(lambda y: linking.twisted(y, order), bad) == expected
+            messages.add(expected[2])
+    assert len(messages) == len(cases)
+
+
+def test_cached_inputs_take_the_full_strata_with_their_checks():
+    forget_plans()
+    first, second = builder_nv_example2(1, 2, 3, 4), builder_nv_example2(2, 3, 4, 5)
+    for d in (first, second):
+        twisted_top_zeta(d, 330)
+    assert second.skeleton.plan.linking
+    for d in (second.with_caches({"n5": (66, 5)}), ensure_cached(second)):
+        for order in (1, 60, 330):
+            assert (_outcome(lambda y: refine.refined_strata(y, zeta._strata, order), d)
+                    == _outcome(_filtered_replay(order), d))
+    with pytest.raises(CacheMismatch, match="node n5: cached"):
+        twisted_top_zeta(second.with_caches({"n5": (66, 5)}), 330)
+
+
+def test_twisted_selection_memo_is_bounded():
+    d = builder_nv_example2(1, 2, 3, 4)
+    linking = _linking(d)
+    for order in range(1, 10):
+        linking.twisted(d, order)
+    ns = tuple(a.N for a in d.arrows)
+    assert list(linking.kept) == [(order, ns) for order in range(10 - refine._RECENT, 10)]
+    linking.twisted(builder_nv_example2(5, 4, 3, 2), 9)  # the same N, a hit
+    assert len(linking.kept) == refine._RECENT
+
+
+def test_sweep_twisted_zetas_never_evaluate_the_full_strata(monkeypatch):
+    full = []
+
+    def counted(self, d, _original=refine._Linking.strata):
+        full.append(d)
+        return _original(self, d)
+
+    monkeypatch.setattr(refine._Linking, "strata", counted)
+    forget_plans()
+    for t in SWEEP_GRID[:300]:
+        d = builder_nv_example2(*t)
+        for order in (330, 60):
+            poles(twisted_top_zeta(d, order))
+    assert d.skeleton.plan.linking and not full
+    top_zeta(d)  # the plain zeta still reads them
+    assert full == [d]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from splicezeta import zeta
 from splicezeta.algebra import Poly2, RatFuncS
 from splicezeta.diagram import Arrowhead, Diagram, Edge, ensure_cached
-from splicezeta.errors import DegenerateDenominator, PoleAtOne
+from splicezeta.errors import DegenerateDenominator, ExpansionTooLarge, PoleAtOne
 from splicezeta.refine import Subdivision, realizable_refine, reduce, refine_edge, smooth_subdivide_minimal
 from splicezeta.diagram import cone_vector, multiplicities, valency
 from splicezeta.sdio import (
@@ -470,3 +472,92 @@ def test_candidate_poles_nv2():
     got = candidate_poles_motivic(builder_nv_example2(1, 1, 1, 1))
     assert {(3, 20), (2, 15), (7, 60), (41, 330), (9, 66), (1, 1)} <= got
     assert (8, 65) in got  # inserted chain node on the determinant-6 edge
+
+
+def _divided_all_at_once(coeffs):
+    """_without_content as each round once computed every quotient first."""
+    while coeffs:
+        quotients = [zeta._over_l_minus_1(c) for c in coeffs]
+        if any(q is None for q in quotients):
+            return coeffs
+        coeffs = quotients
+    return coeffs
+
+
+def test_content_removal_stops_at_the_first_coefficient_it_cannot_divide():
+    rng = random.Random(59)
+    for k in range(300):
+        content = Poly2.one()
+        for _ in range(k % 4):
+            content = content * L_MINUS_1
+        coeffs = [random_coeff(rng) * content for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.5:
+            coeffs[rng.randrange(len(coeffs))] *= L_MINUS_1
+        assert zeta._without_content(coeffs) == _divided_all_at_once(coeffs)
+    # one row with a nonzero value at L = 1 refuses the whole coefficient
+    assert zeta._over_l_minus_1(Poly2({(0, 0): 1, (1, 0): -1, (5, 1): 1})) is None
+
+
+# ---------------------------------------------------------------------------
+# Budget 2: the size of the expansion behind ==.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def expansion_sizes(monkeypatch):
+    """The largest progression and support counts each _budget call sees."""
+    seen = {}
+
+    def recorded(count, limit, what, _original=zeta._budget):
+        seen[what] = max(seen.get(what, 0), count)
+        return _original(count, limit, what)
+
+    monkeypatch.setattr(zeta, "_budget", recorded)
+    return seen
+
+
+def test_expansion_budget_admits_its_bounds(monkeypatch, expansion_sizes):
+    d = builder_nv_example2(1, 1, 1, 1)
+    assert verify_splice_motivic(d, ("n3", "n4"))
+    assert expansion_sizes == {"progressions": 1370, "support points": 6818}
+    monkeypatch.setattr(zeta, "MAX_PROGRESSIONS", 1370)
+    monkeypatch.setattr(zeta, "MAX_SUPPORT", 6818)
+    assert verify_splice_motivic(d, ("n3", "n4"))
+    monkeypatch.setattr(zeta, "MAX_SUPPORT", 6817)
+    with pytest.raises(ExpansionTooLarge,
+                       match="at least 6818 support points, more than the 6817 allowed"):
+        verify_splice_motivic(d, ("n3", "n4"))
+    monkeypatch.setattr(zeta, "MAX_PROGRESSIONS", 1369)
+    with pytest.raises(ExpansionTooLarge,
+                       match="at least 1370 progressions, more than the 1369 allowed"):
+        verify_splice_motivic(d, ("n3", "n4"))
+
+
+def test_a_cone_is_refused_before_its_corners_are_listed(monkeypatch):
+    # the step N = 1 before the last would list bound - 1 = 100 001 corners
+    monkeypatch.setattr(zeta, "MAX_PROGRESSIONS", 1000)
+    z = (ZetaExpr.term(Poly2.one(), [(1, 1), (1, 1)])
+         + ZetaExpr.term(Poly2.one(), [(1, 100_000)]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExpansionTooLarge, match="at least 100001 progressions"):
+            z.is_zero()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_hostile_chains_are_refused_within_seconds():
+    # the chain a-b decorated (1, k) with arrowheads a:(1,1,1) twice,
+    # b:(1,1,1) and b:(1,0,2): its residual at k = 100 has 13.5 M support
+    # points, and the two-arrowhead chain at k = 1000 3.75 M progressions
+    chain4 = parse_sd("node a\nnode b\nedge a b 1 100\narrow a 1 1 1\narrow a 1 1 1\n"
+                      "arrow b 1 1 1\narrow b 1 0 2\n")
+    chain2 = parse_sd("node a\nnode b\nedge a b 1 1000\narrow a 1 1 1\narrow b 1 1 1\n")
+    start = time.process_time()
+    with pytest.raises(ExpansionTooLarge, match="13526450 support points"):
+        verify_splice_motivic(chain4, ("a", "b"))
+    with pytest.raises(ExpansionTooLarge, match="progressions, more than the 1000000"):
+        verify_splice_motivic(chain2, ("a", "b"))
+    assert time.process_time() - start < 5
