@@ -125,8 +125,8 @@ def _enter(key, skeleton):
 class Diagram:
     """Immutable decorated tree with arrowheads and optional multiplicity caches."""
 
-    # skeleton: the shared Skeleton; _strata: zeta's strata of this diagram,
-    # computed on first use
+    # skeleton: the shared Skeleton; _strata: refine._strata of this diagram,
+    # computed on first use by refine.refined_strata
     __slots__ = ("nodes", "edges", "arrows", "caches", "skeleton", "_strata")
 
     def __init__(self, nodes, edges, arrows, caches=None):

@@ -8,6 +8,7 @@ with decoration above 1 does the same for the cone it spans with the ray
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import groupby
 from math import gcd, prod
 from operator import attrgetter, mul
@@ -25,7 +26,6 @@ from .diagram import (
     validate,
 )
 from .errors import (
-    CacheMismatch,
     DegenerateDenominator,
     MissingCache,
     NegativeDeterminant,
@@ -158,10 +158,13 @@ def _chain_length(w_l, w_r):
 
 
 def _ext_gcd(a, b):
-    if b == 0:
-        return (abs(a), 1 if a >= 0 else -1, 0)
-    g, x, y = _ext_gcd(b, a % b)
-    return (g, y, x - (a // b) * y)
+    """(g, x, y) with a x + b y = g = gcd(a, b), by Euclid's loop."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, y0, x1, y1 = x1, y1, x0 - q * x1, y0 - q * y1
+    s = 1 if a >= 0 else -1
+    return (abs(a), s * x0, s * y0)
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +334,10 @@ class _Plan:
     result) pairs, newest last: a whole diagram and its splice halves can
     share one skeleton, and one slot would have them evict each other.
     linking is the skeleton's _Linking once refined_strata has built it
-    (False where it never will), and linked its latest _RECENT (input,
-    strata) pairs, so that a second zeta of one input object costs nothing.
+    (False where it never will).
     """
 
-    __slots__ = ("tree", "chains", "moved", "recent", "linking", "linked")
+    __slots__ = ("tree", "chains", "moved", "recent", "linking")
 
     def __init__(self, d):
         # refining one edge or arrowhead leaves the cones of the others unchanged
@@ -360,7 +362,7 @@ class _Plan:
             self.moved[i] = names[-1]
         self.tree = Skeleton(*sorted_parts(existing, edges), tuple(sorted(
             (self.moved.get(i, a.node), 1) for i, a in enumerate(d.arrows))))
-        self.recent, self.linking, self.linked = [], None, []
+        self.recent, self.linking = [], None
 
     def lookup(self, d):
         """The result of a recent input that is d, or else equal to it."""
@@ -434,13 +436,32 @@ def realizable_refine(d):
 
 
 # ---------------------------------------------------------------------------
-# Linking maps: the refined strata of one skeleton, affine in its arrowheads.
+# Refined strata, and linking maps: those strata affine in a skeleton's arrowheads.
 # ---------------------------------------------------------------------------
 
 
+def _strata(d):
+    """(pair(v), full valency) per node, pair lists for edges and arrows,
+    of a realizable refinement d; a pair is (nu, N)."""
+    table = {v: tuple(d.cache(v)) for v in d.nodes}
+    for v, (n, nu) in table.items():
+        if (n, nu) == (0, 0):
+            raise DegenerateDenominator(f"node {v} has (N, nu) = (0, 0)")
+    at = Counter(a.node for a in d.arrows)
+    nodes = [((table[v][1], table[v][0]), len(d.node_edges(v)) + at[v]) for v in d.nodes]
+    edges = [((table[e.u][1], table[e.u][0]), (table[e.v][1], table[e.v][0]))
+             for e in d.edges]
+    arrows = []
+    for a in d.arrows:
+        if (a.N, a.nu) == (0, 0):
+            raise DegenerateDenominator(f"arrowhead at {a.node} has (N, nu) = (0, 0)")
+        arrows.append(((table[a.node][1], table[a.node][0]), (a.nu, a.N)))
+    return nodes, edges, arrows
+
+
 class _Linking:
-    """The strata of a plan's refinements of standard inputs, as integer-affine
-    functions of the input arrowheads' (N, nu).
+    """The strata of a plan's refinements of inputs without caches, as
+    integer-affine functions of the input arrowheads' (N, nu).
 
     The refined tree has plain arrowheads, so unrolling the side-weight
     recurrence (see diagram.side_weights) gives the Eisenbud-Neumann form
@@ -451,12 +472,11 @@ class _Linking:
     l(., node of arrowhead a) over the refined nodes, and const the second
     sum minus every column, so that
     (N_v, nu_v) = (sum_a columns[a][v] N_a, sum_a columns[a][v] nu_a + const[v]).
-    The rest is the strata's fixed shape: valencies, the edges' and
-    arrowheads' node indices, and the input nodes' indices.
+    The rest is the strata's fixed shape: valencies, and the edges' and
+    arrowheads' node indices.
     """
 
-    __slots__ = ("names", "columns", "const", "inputs", "valencies", "edge_ends",
-                 "arrow_at", "kept")
+    __slots__ = ("names", "columns", "const", "valencies", "edge_ends", "arrow_at", "kept")
 
     def __init__(self, plan, d):
         tree = plan.tree
@@ -490,7 +510,6 @@ class _Linking:
         for col in self.columns:
             const = [c - x for c, x in zip(const, col)]
         self.const = const
-        self.inputs = [(v, index[v]) for v in d.nodes]
         at = [0] * len(names)
         for i in self.arrow_at:
             at[i] += 1
@@ -498,39 +517,11 @@ class _Linking:
         self.edge_ends = [(index[e.u], index[e.v]) for e in tree.edges]
         self.kept = {}  # see twisted, oldest first
 
-    def strata(self, d):
-        """zeta._strata(realizable_refine(d)), with the errors that raises
-        (and multiplicities before it) at the same first offender."""
-        ns, nus = [0] * len(self.const), self.const
-        for a, col in zip(d.arrows, self.columns):
-            if a.N:
-                ns = [n + a.N * x for n, x in zip(ns, col)]
-            if a.nu:
-                nus = [nu + a.nu * x for nu, x in zip(nus, col)]
-        for v, i in self.inputs if d.caches else ():
-            cached = d.caches.get(v)
-            if cached is not None and tuple(cached) != (ns[i], nus[i]):
-                raise CacheMismatch(
-                    f"node {v}: cached {tuple(cached)} != computed {(ns[i], nus[i])}")
-        pairs = list(zip(nus, ns))
-        if (0, 0) in pairs:
-            for v, i in self.inputs:
-                if pairs[i] == (0, 0):
-                    raise DegenerateDenominator(f"(N, nu) = (0, 0) at node {v}")
-            v = self.names[pairs.index((0, 0))]
-            raise DegenerateDenominator(f"node {v} has (N, nu) = (0, 0)")
-        arrows = []
-        for a, i in zip(d.arrows, self.arrow_at):
-            if (a.N, a.nu) == (0, 0):
-                raise DegenerateDenominator(f"arrowhead at {a.node} has (N, nu) = (0, 0)")
-            arrows.append((pairs[i], (a.nu, a.N)))
-        return (list(zip(pairs, self.valencies)),
-                [(pairs[u], pairs[v]) for u, v in self.edge_ends], arrows)
-
     def twisted(self, d, order):
-        """self.strata(d) cut to the strata whose N's order divides, for d without caches, with
-        nu only at the kept nodes (strata raises for a (0, 0) pair, whose N is 0).  kept maps
-        the latest _RECENT (order, N's) to the kept nodes, edges and (arrowhead, node) pairs."""
+        """_strata(realizable_refine(d)) cut to the strata whose N's order divides, for d
+        without caches, with nu only at the kept nodes; None where a node or arrowhead has
+        (0, 0), whose N every order divides, so that the replay raises.  kept maps the
+        latest _RECENT (order, N's) to the kept nodes, edges and (arrowhead, node) pairs."""
         ns = tuple(map(_N, d.arrows))
         if (order, ns) not in self.kept:
             by_node = list(zip(*self.columns)) or [()] * len(self.const)
@@ -545,17 +536,18 @@ class _Linking:
         nus = list(map(_NU, d.arrows))
         pairs = {i: (c + sum(map(mul, nus, row)), n) for i, c, row, n, _ in rows}
         if (0, 0) in pairs.values() or (0, 0) in zip(nus, ns):
-            self.strata(d)
+            return None
         return ([(pairs[i], delta) for i, _, _, _, delta in rows],
                 [(pairs[u], pairs[v]) for u, v in edges],
                 [(pairs[i], (nus[j], ns[j])) for j, i in arrows])
 
 
-def refined_strata(d, strata_of, order=None):
-    """strata_of(realizable_refine(d)), kept on that refinement, or the same
-    strata from the linking map of d's plan where it has one for d (strata_of
-    is zeta._strata, which _Linking.strata reproduces); with an order, only the
-    strata whose N's it divides, from the map's twisted for an input without caches.
+def refined_strata(d, order=None):
+    """_strata(realizable_refine(d)), kept on that refinement; with an order,
+    only the strata whose N's it divides.  An input without caches reads them
+    from the linking map of d's plan where it has one, through its twisted
+    (order 1 keeps every stratum); the others, and one where the map finds a
+    (0, 0) pair, are replayed, and raise there.
 
     A skeleton gets a map on the first input whose arrowheads no recent
     input of its plan had, e.g. the second point of a form-parameter sweep,
@@ -568,19 +560,14 @@ def refined_strata(d, strata_of, order=None):
     if plan is not None and plan.linking is None and not plan.moved \
             and all(x.arrows != d.arrows for x, _ in plan.recent):
         plan.linking = False if validate(d) else _Linking(plan, d)
-    if plan is not None and plan.linking:
-        if order is not None and not d.caches:
-            return plan.linking.twisted(d, order)
-        strata = next((y for x, y in plan.linked if x is d), None)
-        if strata is None:
-            strata = plan.linking.strata(d)
-            plan.linked = (plan.linked + [(d, strata)])[-_RECENT:]
-    else:
-        out = realizable_refine(d)
-        if out._strata is None:
-            out._strata = strata_of(out)
-        strata = out._strata
-    nodes, edges, arrows = strata
+    if plan is not None and plan.linking and not d.caches:
+        strata = plan.linking.twisted(d, order or 1)
+        if strata is not None:
+            return strata
+    out = realizable_refine(d)
+    if out._strata is None:
+        out._strata = _strata(out)
+    nodes, edges, arrows = strata = out._strata
     return strata if order is None else (
         [(pair, delta) for pair, delta in nodes if pair[1] % order == 0],
         [(p, q) for p, q in edges if not (p[1] % order or q[1] % order)],

@@ -8,7 +8,7 @@ the punctured exceptional curve and the classical values.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from fractions import Fraction
 from itertools import takewhile
 from math import gcd, prod
@@ -226,31 +226,6 @@ def _over_l_minus_1(coeff):
     return Poly2(out) if len(out) <= len(coeff.terms) else None
 
 
-def _refined_strata(diagram):
-    """_strata of the realizable refinement, computed once per refined diagram
-    (the refinement plan hands out the same one for the same input), or
-    from the plan's linking map (see refine.refined_strata)."""
-    return refined_strata(diagram, _strata)
-
-
-def _strata(d):
-    """(pair(v), full valency) per node, pair lists for edges and arrows."""
-    table = {v: tuple(d.cache(v)) for v in d.nodes}
-    for v, (n, nu) in table.items():
-        if (n, nu) == (0, 0):
-            raise DegenerateDenominator(f"node {v} has (N, nu) = (0, 0)")
-    at = Counter(a.node for a in d.arrows)
-    nodes = [((table[v][1], table[v][0]), len(d.node_edges(v)) + at[v]) for v in d.nodes]
-    edges = [((table[e.u][1], table[e.u][0]), (table[e.v][1], table[e.v][0]))
-             for e in d.edges]
-    arrows = []
-    for a in d.arrows:
-        if (a.N, a.nu) == (0, 0):
-            raise DegenerateDenominator(f"arrowhead at {a.node} has (N, nu) = (0, 0)")
-        arrows.append(((table[a.node][1], table[a.node][0]), (a.nu, a.N)))
-    return nodes, edges, arrows
-
-
 def motivic_zeta(diagram):
     """Motivic zeta function of the diagram as an exact ZetaExpr."""
     acc = {}
@@ -261,7 +236,7 @@ def motivic_zeta(diagram):
 def _add_strata(acc, diagram, sign=1):
     """Add sign times the terms of motivic_zeta(diagram) to the term dict acc
     (as ZetaExpr.terms, but cancelled terms stay with coefficient 0)."""
-    nodes, edges, arrows = _refined_strata(diagram)
+    nodes, edges, arrows = refined_strata(diagram)
     for pair, delta in nodes:
         # (L - 1) * (L + 1 - delta)
         _add_term(acc, (pair,), Poly2({(2, 0): sign, (1, 0): -delta * sign,
@@ -281,7 +256,7 @@ def _top_terms(diagram, order=None):
     """(chi, (N, nu) pairs) terms of the (possibly twisted) topological zeta."""
     if order is not None and order < 1:
         raise ValueError("order must be a positive integer")
-    nodes, edges, arrows = refined_strata(diagram, _strata, order)
+    nodes, edges, arrows = refined_strata(diagram, order)
     terms = [(2 - delta, ((n, nu),)) for (nu, n), delta in nodes if delta != 2]
     return terms + [(1, ((n, nu), (m, mu))) for (nu, n), (mu, m) in edges + arrows]
 

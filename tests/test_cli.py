@@ -351,6 +351,30 @@ def test_cache_contradicting_the_formulas_is_input_error(tmp_path, capsys):
     assert "cached (5, 1) != computed (3, 3)" in err
 
 
+def _fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+# consecutive Fibonacci decorations of 251 digits: Euclid on them takes 1 200 steps
+FIBONACCI_1200 = (f"node a\nnode b\nnode c\nedge a b {_fibonacci(1200)} 2\n"
+                  f"edge a c {_fibonacci(1201)} 1\narrow b 1 1 1\narrow c 1 1 1\n")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["zeta", "--kind", "top"], 0), (["refine"], 0), (["verify-splice"], 2),
+    (["monodromy"], 0), (["mc-check"], 0)])
+def test_long_euclid_needs_no_recursion(argv, expected, tmp_path, capsys):
+    path = tmp_path / "fib1200.sd"
+    path.write_text(FIBONACCI_1200)
+    code, _, err = run_cli(*argv, str(path), capsys=capsys)
+    assert code == expected and "Traceback" not in err
+    # verify-splice stops at Budget 2, not at a recursion limit
+    assert err.startswith("error: the zeta comparison needs at least") if code else not err
+
+
 HOSTILE_CHAIN = "node a\nnode b\nedge a b 1 10000000\narrow a 1 1 1\narrow b 1 1 1\n"
 
 

@@ -13,7 +13,7 @@ import pytest
 
 import oracles
 from memo import forget_plans
-from splicezeta import diagram, zeta
+from splicezeta import diagram, refine
 from splicezeta.algebra import Poly2, _partial_fractions_vanish, _term_fractions
 from splicezeta.cli import main
 from splicezeta.diagram import Arrowhead, Diagram
@@ -163,14 +163,14 @@ def test_specialization_agrees_on_synthetic_terms():
 
 @pytest.fixture
 def strata_calls(monkeypatch):
-    """Counts zeta._strata calls, from an empty plan memo."""
+    """Counts refine._strata calls, from an empty plan memo."""
     calls = []
 
-    def counted(d, _original=zeta._strata):
+    def counted(d, _original=refine._strata):
         calls.append(d)
         return _original(d)
 
-    monkeypatch.setattr(zeta, "_strata", counted)
+    monkeypatch.setattr(refine, "_strata", counted)
     forget_plans()
     return calls
 

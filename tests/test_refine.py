@@ -1,10 +1,13 @@
+import ast
 import itertools
 import random
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splicezeta import diagram, refine, zeta
+from splicezeta import diagram, refine
 from splicezeta.diagram import (
     Arrowhead,
     Diagram,
@@ -420,8 +423,17 @@ def _linking(d):
     return refine._Linking(refine._Plan(d), d)
 
 
+def _mapped(d):
+    """d, with a fresh plan on its skeleton that holds a linking map of it."""
+    forget_plans()
+    skeleton = refine._planned(d)
+    skeleton.plan = refine._Plan(d)
+    skeleton.plan.linking = _linking(d)
+    return d
+
+
 def _replayed(d):
-    return zeta._strata(realizable_refine(d))
+    return refine._strata(realizable_refine(d))
 
 
 def _outcome(strata_of, d):
@@ -430,6 +442,12 @@ def _outcome(strata_of, d):
         return "strata", strata_of(d)
     except SpliceZetaError as exc:
         return "raised", type(exc), str(exc)
+
+
+def _or_none(outcome):
+    """What the map's twisted returns for an input with this replay outcome:
+    the strata, or None where the replay raises."""
+    return outcome[1] if outcome[0] == "strata" else None
 
 
 def _redrawn(d, rng):
@@ -448,7 +466,7 @@ def test_linking_map_matches_the_replay_on_the_sweep_grid():
     linking = _linking(builder_nv_example2(1, 1, 1, 1))
     for t in grid:
         d = builder_nv_example2(*t)
-        assert linking.strata(d) == _replayed(d), t
+        assert linking.twisted(d, 1) == _replayed(d), t
 
 
 def test_linking_map_matches_the_replay_on_examples_and_random_diagrams():
@@ -462,10 +480,10 @@ def test_linking_map_matches_the_replay_on_examples_and_random_diagrams():
         linking = _linking(d)
         for x in [d] + [_redrawn(d, rng) for _ in range(3)]:
             expected = _outcome(_replayed, x)
-            assert _outcome(linking.strata, x) == expected
+            assert linking.twisted(x, 1) == _or_none(expected)
             if expected[0] == "strata":
                 cached = ensure_cached(x)  # correct caches on every input node
-                assert linking.strata(cached) == expected[1] == _replayed(cached)
+                assert refine.refined_strata(_mapped(cached)) == expected[1] == _replayed(cached)
             outcomes.append(expected[0])
     assert outcomes.count("strata") > 100
 
@@ -490,7 +508,9 @@ def test_linking_map_raises_what_the_replay_raises():
     for bad, cls in cases:
         expected = _outcome(_replayed, bad)
         assert expected[:2] == ("raised", cls)
-        assert _outcome(_linking(bad).strata, bad) == expected
+        if not bad.caches:
+            assert _linking(bad).twisted(bad, 1) is None
+        assert _outcome(refine.refined_strata, _mapped(bad)) == expected
         messages.add(expected[2])
     assert len(messages) == len(cases)
 
@@ -505,7 +525,7 @@ def test_linking_map_equals_the_replay_property(seed, m, data):
                       [Arrowhead(a.node, 1, n, nu) for a, (n, nu) in zip(d.arrows, pairs)])
     linking = _linking(d)
     for x in (d, redrawn):
-        assert _outcome(linking.strata, x) == _outcome(_replayed, x)
+        assert linking.twisted(x, 1) == _or_none(_outcome(_replayed, x))
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +554,7 @@ def test_twisted_strata_equal_the_filtered_strata_on_the_sweep_grid():
     kept = set()
     for t in SWEEP_GRID:
         d = builder_nv_example2(*t)
-        full = linking.strata(d)
+        full = _replayed(d)
         for order in TWIST_ORDERS:
             twisted = linking.twisted(d, order)
             assert twisted == _divisible(full, order), (t, order)
@@ -556,8 +576,7 @@ def test_twisted_strata_equal_the_filtered_replay_property(seed, m, no_n, order,
                       [Arrowhead(a.node, 1, n, nu) for a, (n, nu) in zip(d.arrows, pairs)])
     linking = _linking(d)
     for x in (d, redrawn):
-        assert (_outcome(lambda y: linking.twisted(y, order), x)
-                == _outcome(_filtered_replay(order), x))
+        assert linking.twisted(x, order) == _or_none(_outcome(_filtered_replay(order), x))
 
 
 def test_twisted_strata_raise_what_the_filtered_replay_raises():
@@ -574,11 +593,12 @@ def test_twisted_strata_raise_what_the_filtered_replay_raises():
     ]
     messages = set()
     for bad in cases:
-        linking = _linking(bad)
+        linking = _linking(_mapped(bad))
         for order in (1, 7, 60, 330):
             expected = _outcome(_filtered_replay(order), bad)
             assert expected[:2] == ("raised", DegenerateDenominator)
-            assert _outcome(lambda y: linking.twisted(y, order), bad) == expected
+            assert linking.twisted(bad, order) is None
+            assert _outcome(lambda y: refine.refined_strata(y, order), bad) == expected
             messages.add(expected[2])
     assert len(messages) == len(cases)
 
@@ -590,9 +610,9 @@ def test_cached_inputs_take_the_full_strata_with_their_checks():
         twisted_top_zeta(d, 330)
     assert second.skeleton.plan.linking
     for d in (second.with_caches({"n5": (66, 5)}), ensure_cached(second)):
-        for order in (1, 60, 330):
-            assert (_outcome(lambda y: refine.refined_strata(y, zeta._strata, order), d)
-                    == _outcome(_filtered_replay(order), d))
+        for order in (None, 1, 60, 330):
+            expected = _outcome(_replayed if order is None else _filtered_replay(order), d)
+            assert _outcome(lambda y: refine.refined_strata(y, order), d) == expected
     with pytest.raises(CacheMismatch, match="node n5: cached"):
         twisted_top_zeta(second.with_caches({"n5": (66, 5)}), 330)
 
@@ -609,21 +629,38 @@ def test_twisted_selection_memo_is_bounded():
 
 
 def test_sweep_twisted_zetas_never_evaluate_the_full_strata(monkeypatch):
-    full = []
+    replays = []
 
-    def counted(self, d, _original=refine._Linking.strata):
-        full.append(d)
-        return _original(self, d)
+    def counted(d, _original=refine._strata):
+        replays.append(d)
+        return _original(d)
 
-    monkeypatch.setattr(refine._Linking, "strata", counted)
+    monkeypatch.setattr(refine, "_strata", counted)
     forget_plans()
     for t in SWEEP_GRID[:300]:
         d = builder_nv_example2(*t)
         for order in (330, 60):
             poles(twisted_top_zeta(d, order))
-    assert d.skeleton.plan.linking and not full
-    top_zeta(d)  # the plain zeta still reads them
-    assert full == [d]
+    # the first tuple is replayed; the second builds the map, which serves the rest
+    assert d.skeleton.plan.linking
+    assert replays == [realizable_refine(builder_nv_example2(*SWEEP_GRID[0]))]
+    top_zeta(d)  # the plain zeta reads the map through order 1
+    assert len(replays) == 1
+
+
+def test_mapped_inputs_render_as_their_replay():
+    forget_plans()
+    checked = 0
+    for t in SWEEP_GRID[:201]:
+        d = builder_nv_example2(*t)
+        twisted_top_zeta(d, 330)  # the second tuple builds the map
+        if not d.skeleton.plan.linking:
+            continue
+        cached = ensure_cached(d)  # takes the replay
+        for fn in (top_zeta, motivic_zeta, lambda x: twisted_top_zeta(x, 60)):
+            assert fn(d).render() == fn(cached).render(), t
+        checked += 1
+    assert checked == 200
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +703,7 @@ def test_the_second_standard_input_builds_one_linking_map(maps_built):
     for d in (second, builder_nv_example2(5, 4, 3, 2), first, second):
         twisted_top_zeta(d, 330)
         twisted_top_zeta(d, 60)
-        assert zeta._refined_strata(d) is zeta._refined_strata(d) == _replayed(d)
+        assert refine.refined_strata(d) == refine.refined_strata(d) == _replayed(d)
     assert maps_built == [second]
 
 
@@ -682,7 +719,7 @@ def test_decorated_or_invalid_skeletons_build_no_linking_map(maps_built):
     assert validate(invalid[1]) and not validate(invalid[2])
     for d in halves + invalid:
         for _ in range(2):
-            assert zeta._refined_strata(d) == _replayed(d)
+            assert refine.refined_strata(d) == _replayed(d)
     assert not maps_built
 
 
@@ -709,6 +746,34 @@ def test_chain_length_matches_the_subdivision():
     # cones smooth_subdivide_minimal refuses count nothing
     assert refine._chain_length((2, 0), (1, 1)) == refine._chain_length((0, 1), (1, 0)) == 0
     assert refine._chain_length((1, 1), (1, 10 ** 100)) == 10 ** 100 - 2
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(a=st.just(0) | st.integers(-10 ** 40, 10 ** 40),
+       b=st.just(0) | st.integers(-10 ** 40, 10 ** 40))
+def test_ext_gcd_is_a_bezout_identity(a, b):
+    g, x, y = refine._ext_gcd(a, b)
+    assert a * x + b * y == g == gcd(a, b)
+
+
+def _calls_itself(fn):
+    """Whether fn calls its own name, bare or as self.name or cls.name."""
+    for call in ast.walk(fn):
+        f = getattr(call, "func", None)
+        if isinstance(f, ast.Name) and f.id == fn.name or (
+                isinstance(f, ast.Attribute) and f.attr == fn.name
+                and isinstance(f.value, ast.Name) and f.value.id in ("self", "cls")):
+            return True
+    return False
+
+
+def test_no_function_calls_itself():
+    # a recursion that grows with the input ends in RecursionError on a big one
+    recursive = [f"{path.name}:{fn.name}"
+                 for path in sorted(Path(refine.__file__).parent.glob("*.py"))
+                 for fn in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(fn, ast.FunctionDef) and _calls_itself(fn)]
+    assert recursive == []
 
 
 def _budget_corpus():
