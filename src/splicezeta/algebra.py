@@ -350,12 +350,14 @@ def _term_fractions(chi, pairs):
 
 def _add_ratio(acc, key, num, den):
     """acc[key] += num / den on (numerator, denominator) pairs of integers,
-    dropping a sum that cancels."""
+    dropping a sum that cancels and reducing the others, so that their
+    size follows the value's and not the number of terms."""
     n, d = acc.pop(key, (0, den))
     g = gcd(d, den)
     num, den = num * (d // g) + n * (den // g), d // g * den
     if num:
-        acc[key] = (num, den)
+        g = gcd(num, den)
+        acc[key] = (num // g, den // g)
 
 
 def _partial_fractions_vanish(terms):

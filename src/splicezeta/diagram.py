@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
-from operator import attrgetter
+from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import (
     CacheMismatch,
@@ -24,8 +25,10 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
+class Edge(NamedTuple):
+    """A node-edge u-v with decoration du at u and dv at v; a tuple record,
+    so that it is built, hashed and ordered at C level."""
+
     u: str
     v: str
     du: int
@@ -45,8 +48,7 @@ class Edge:
         return (self.u, self.v)
 
 
-@dataclass(frozen=True, order=True)
-class Arrowhead:
+class Arrowhead(NamedTuple):
     node: str
     dec: int
     N: int
@@ -58,9 +60,10 @@ class Skeleton:
 
     It holds the sorted nodes, the oriented and sorted edges, their
     adjacency and each arrowhead's (node, decoration), in the order of the
-    sorted arrowheads.  Diagrams built from equal parts share one object
-    while it is among the last _SKELETON_BOUND entered in the intern table,
-    unless two of its edges join the same nodes (see _enter).
+    sorted arrowheads, where those at a node take one index span (spans:
+    node -> (start, stop)).  Diagrams built from equal parts share one
+    object while it is among the last _SKELETON_BOUND entered in the intern
+    table, unless two of its edges join the same nodes (see _enter).
     It keeps what depends on the skeleton alone, each computed on first use:
     verdict, validate's findings once the arrowheads' (N, nu) are clean
     (False when the skeleton has an unknown node or a decoration < 1, which
@@ -68,7 +71,7 @@ class Skeleton:
     (refine._Plan).
     """
 
-    __slots__ = ("nodes", "edges", "arrow_decs", "adj", "verdict", "plan")
+    __slots__ = ("nodes", "edges", "arrow_decs", "adj", "spans", "verdict", "plan")
 
     def __init__(self, nodes, edges, arrow_decs):
         self.nodes, self.edges, self.arrow_decs = nodes, edges, arrow_decs
@@ -79,6 +82,9 @@ class Skeleton:
                 adj[e.u].append(e)
                 adj[e.v].append(e)
         self.adj = adj
+        self.spans = spans = {}
+        for i, (v, _) in enumerate(arrow_decs):
+            spans[v] = (spans[v][0] if v in spans else i, i + 1)
         self.verdict = self.plan = None
 
     def interned(self):
@@ -90,17 +96,14 @@ class Skeleton:
 
 _SKELETON_BOUND = 64
 _skeletons = {}  # (nodes, edges, arrow_decs) -> Skeleton, oldest first
-_ENDS = attrgetter("u", "v")
-_NODE_DEC = attrgetter("node", "dec")
-# the dataclasses' order, at C level
-_EDGE_ORDER, _ARROW_ORDER = attrgetter("u", "v", "du", "dv"), attrgetter("node", "dec", "N", "nu")
+_ENDS = _NODE_DEC = itemgetter(0, 1)  # an Edge's (u, v), an Arrowhead's (node, dec)
 
 
 def sorted_parts(nodes, edges):
     """(nodes, edges) as a Diagram keeps them: sorted, each edge from its
     smaller node."""
     oriented = (e if e.u <= e.v else Edge(e.v, e.u, e.dv, e.du) for e in edges)
-    return tuple(sorted(nodes)), tuple(sorted(oriented, key=_EDGE_ORDER))
+    return tuple(sorted(nodes)), tuple(sorted(oriented))
 
 
 def _enter(key, skeleton):
@@ -130,7 +133,7 @@ class Diagram:
     __slots__ = ("nodes", "edges", "arrows", "caches", "skeleton", "_strata")
 
     def __init__(self, nodes, edges, arrows, caches=None):
-        self.arrows = arrows = tuple(sorted(arrows, key=_ARROW_ORDER))
+        self.arrows = arrows = tuple(sorted(arrows))
         key = (*sorted_parts(nodes, edges), tuple(map(_NODE_DEC, arrows)))
         skeleton = self.skeleton = _skeletons.get(key) or _enter(key, Skeleton(*key))
         self.nodes, self.edges = skeleton.nodes, skeleton.edges
@@ -151,7 +154,8 @@ class Diagram:
         return self.skeleton.adj[v]
 
     def arrows_at(self, v):
-        return [a for a in self.arrows if a.node == v]
+        start, stop = self.skeleton.spans.get(v, (0, 0))
+        return list(self.arrows[start:stop])
 
     def edge_between(self, u, v):
         for e in self.skeleton.adj.get(u, ()):
@@ -301,13 +305,18 @@ def _skeleton_verdict(d):
     p = {}  # node -> product of its decorations
     for v in d.nodes:
         decs = [e.dec_at(v) for e in d.node_edges(v)] + at[v]
-        for i in range(len(decs)):
-            for j in range(i + 1, len(decs)):
-                if gcd(decs[i], decs[j]) != 1:
-                    out.append(
-                        f"decorations {decs[i]} and {decs[j]} at node {v} "
-                        f"are not coprime")
-        p[v] = prod(decs)
+        # pairwise coprime exactly when each is coprime to the product
+        # of those before it; only a failing node looks for its pairs
+        acc = 1
+        for x in decs:
+            if gcd(acc, x) != 1:
+                out += [f"decorations {a} and {b} at node {v} are not coprime"
+                        for i, a in enumerate(decs) for b in decs[i + 1:]
+                        if gcd(a, b) != 1]
+                acc = prod(decs)
+                break
+            acc *= x
+        p[v] = acc
     for e in d.edges:
         # in a tree no edge meets a node twice, so P_u / d_u excludes just e
         q = (e.du * e.dv - p[e.u] // e.du * (p[e.v] // e.dv) if tree

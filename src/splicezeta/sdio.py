@@ -102,6 +102,21 @@ def write_sd(d):
 # ---------------------------------------------------------------------------
 
 
+_builder_skeletons = {}  # builder name -> the interned skeleton of its first diagram
+
+
+def _assembled(builder, nodes, edges, arrows):
+    """check_valid of the diagram of nodes, edges and arrows, sorted as a
+    Diagram keeps its parts.  Only a builder's first diagram is built from
+    its parts; the later ones are assembled on its skeleton, with fresh
+    caches.  Once that skeleton has left the intern table it keeps its
+    verdict, and refine._planned finds it a plan as for any diagram."""
+    skeleton = _builder_skeletons.get(builder)
+    if skeleton is None:
+        skeleton = _builder_skeletons[builder] = Diagram(nodes, edges, arrows).skeleton
+    return check_valid(Diagram._assemble(skeleton, arrows, {}))
+
+
 def builder_monomial(m, m_prime, i, i_prime):
     """One node, decorations 1, 1; the diagram of a monomial with form weights.
 
@@ -109,11 +124,8 @@ def builder_monomial(m, m_prime, i, i_prime):
     """
     if (m, i) == (0, 0) or (m_prime, i_prime) == (0, 0):
         raise DegenerateBranch("a branch pair (N, nu) must not be (0, 0)")
-    return check_valid(Diagram(
-        ["n1"],
-        [],
-        [Arrowhead("n1", 1, m, i), Arrowhead("n1", 1, m_prime, i_prime)],
-    ))
+    return _assembled("monomial", ("n1",), (), tuple(sorted(
+        (Arrowhead("n1", 1, m, i), Arrowhead("n1", 1, m_prime, i_prime)))))
 
 
 def builder_cusp(a, b):
@@ -124,13 +136,11 @@ def builder_cusp(a, b):
     """
     if a < 0 or b < 0:
         raise DegenerateBranch("form exponents must be nonnegative")
-    return check_valid(Diagram(
-        ["n1", "n2", "n3"],
-        [Edge("n1", "n2", 1, 3), Edge("n2", "n3", 2, 2)],
-        [Arrowhead("n2", 1, 1, 1),
-         Arrowhead("n1", 1, 0, a + 1),
-         Arrowhead("n3", 1, 0, b + 1)],
-    ))
+    return _assembled("cusp", ("n1", "n2", "n3"),
+                      (Edge("n1", "n2", 1, 3), Edge("n2", "n3", 2, 2)),
+                      (Arrowhead("n1", 1, 0, a + 1),
+                       Arrowhead("n2", 1, 1, 1),
+                       Arrowhead("n3", 1, 0, b + 1)))
 
 
 _NV2_EDGES = (Edge("n1", "n3", 2, 3), Edge("n2", "n3", 1, 4),
@@ -147,23 +157,17 @@ def builder_nv_example2(i1, i2, i3, k):
     """
     if 0 in (i1, i2, i3):
         raise DegenerateBranch("a form-only arrowhead needs nu != 0")
-    return check_valid(Diagram(
-        ["n1", "n2", "n3", "n4", "n5"],
-        _NV2_EDGES,
-        [Arrowhead("n4", 1, 1, k),
-         Arrowhead("n1", 1, 0, i1),
-         Arrowhead("n2", 1, 0, i2),
-         Arrowhead("n5", 1, 0, i3)],
-    ))
+    return _assembled("nv2", ("n1", "n2", "n3", "n4", "n5"), _NV2_EDGES,
+                      (Arrowhead("n1", 1, 0, i1),
+                       Arrowhead("n2", 1, 0, i2),
+                       Arrowhead("n4", 1, 1, k),
+                       Arrowhead("n5", 1, 0, i3)))
 
 
 def builder_xy2_chain():
     """Two-node chain diagram of x * y^2 with trivial form data."""
-    return check_valid(Diagram(
-        ["n1", "n2"],
-        [Edge("n1", "n2", 1, 2)],
-        [Arrowhead("n1", 1, 1, 1), Arrowhead("n2", 1, 2, 1)],
-    ))
+    return _assembled("xy2", ("n1", "n2"), (Edge("n1", "n2", 1, 2),),
+                      (Arrowhead("n1", 1, 1, 1), Arrowhead("n2", 1, 2, 1)))
 
 
 EXAMPLES = {

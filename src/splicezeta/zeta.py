@@ -139,11 +139,12 @@ def _expansion_vanishes(z):
     before the row sweep, or MAX_SUPPORT points, counted before any is added.
     """
     mult = z.pairs()
+    constant = [(nu, m) for (nu, n), m in mult.items() if not n]  # the N = 0 pairs
     cones = defaultdict(lambda: defaultdict(int))  # apex -> L-exponent -> coeff
     top = 0
     for key, coeff in zip(z.terms, _without_content(list(z.terms.values()))):
-        for (nu, n), m in mult.items():
-            for _ in range(0 if n else m - key.count((nu, n))):
+        for nu, m in constant:
+            for _ in range(m - key.count((nu, 0))):
                 coeff = coeff * Poly2({(nu, 0): 1, (0, 0): -1})
         steps = tuple(sorted((p for p in key if p[1]), key=lambda p: -p[1]))
         for (a, b), c in coeff.terms.items():

@@ -16,18 +16,23 @@ the package's integer ones, kept to test that those agree with them, and
 `validate_reference` is the earlier `validate`, with one outer product per
 edge end.  `eigenvalues_reference` is the earlier `eigenvalues`: one frozen
 dataclass around one `Fraction(a, m)` per class, with the multiplicity of
-each root order summed over the exponent table of Delta_1.
+each root order summed over the exponent table of Delta_1.  `DataclassEdge`
+and `DataclassArrowhead` are the earlier frozen dataclass records, and
+`BUILDERS_REFERENCE` the earlier builders, which built every diagram from
+its parts with `Diagram(...)`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
 import sympy as sp
 
 from splicezeta.algebra import Poly2, RatFuncS, _poly_mul, _poly_trim
-from splicezeta.diagram import Arrowhead, _is_tree, edge_determinant, edge_sides
-from splicezeta.errors import PoleAtOne
+from splicezeta.diagram import (
+    Arrowhead, Diagram, Edge, _is_tree, check_valid, edge_determinant, edge_sides,
+)
+from splicezeta.errors import DegenerateBranch, PoleAtOne
 from splicezeta.monodromy import delta0, delta1
 
 
@@ -603,3 +608,63 @@ def eigenvalues_reference(diagram):
                        for a in range(m) if gcd(a, m) == 1)
     out.update(EigenvalueClass(Fraction(a, d0) % 1, 1, "h0") for a in range(d0))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The earlier records and builders.
+# ---------------------------------------------------------------------------
+
+def _dec_at(self, w):
+    if w == self.u:
+        return self.du
+    if w == self.v:
+        return self.dv
+    raise KeyError(w)
+
+
+DataclassEdge = make_dataclass(
+    "Edge", [("u", str), ("v", str), ("du", int), ("dv", int)], frozen=True, order=True,
+    namespace={"other": lambda self, w: self.v if w == self.u else self.u,
+               "dec_at": _dec_at, "key": lambda self: (self.u, self.v)})
+DataclassArrowhead = make_dataclass(
+    "Arrowhead", [("node", str), ("dec", int), ("N", int), ("nu", int)],
+    frozen=True, order=True)
+
+
+def _monomial(m, m_prime, i, i_prime):
+    if (m, i) == (0, 0) or (m_prime, i_prime) == (0, 0):
+        raise DegenerateBranch("a branch pair (N, nu) must not be (0, 0)")
+    return check_valid(Diagram(
+        ["n1"], [], [Arrowhead("n1", 1, m, i), Arrowhead("n1", 1, m_prime, i_prime)]))
+
+
+def _cusp(a, b):
+    if a < 0 or b < 0:
+        raise DegenerateBranch("form exponents must be nonnegative")
+    return check_valid(Diagram(
+        ["n1", "n2", "n3"], [Edge("n1", "n2", 1, 3), Edge("n2", "n3", 2, 2)],
+        [Arrowhead("n2", 1, 1, 1), Arrowhead("n1", 1, 0, a + 1),
+         Arrowhead("n3", 1, 0, b + 1)]))
+
+
+def _nv_example2(i1, i2, i3, k):
+    if 0 in (i1, i2, i3):
+        raise DegenerateBranch("a form-only arrowhead needs nu != 0")
+    return check_valid(Diagram(
+        ["n1", "n2", "n3", "n4", "n5"],
+        [Edge("n1", "n3", 2, 3), Edge("n2", "n3", 1, 4),
+         Edge("n3", "n4", 1, 66), Edge("n4", "n5", 5, 14)],
+        [Arrowhead("n4", 1, 1, k), Arrowhead("n1", 1, 0, i1),
+         Arrowhead("n2", 1, 0, i2), Arrowhead("n5", 1, 0, i3)]))
+
+
+def _xy2_chain():
+    return check_valid(Diagram(
+        ["n1", "n2"], [Edge("n1", "n2", 1, 2)],
+        [Arrowhead("n1", 1, 1, 1), Arrowhead("n2", 1, 2, 1)]))
+
+
+# builder name in sdio -> the earlier builder
+BUILDERS_REFERENCE = {"builder_monomial": _monomial, "builder_cusp": _cusp,
+                      "builder_nv_example2": _nv_example2,
+                      "builder_xy2_chain": _xy2_chain}

@@ -41,6 +41,8 @@ from splicezeta.splice import splice
 from splicezeta.zeta import top_zeta
 
 from oracles import (
+    DataclassArrowhead,
+    DataclassEdge,
     cusp_chart_multiplicities,
     linking,
     linking_from_edge,
@@ -273,6 +275,72 @@ def test_diagram_parts_sort_as_the_dataclass_order():
         assert diagram.sorted_parts(d.nodes, edges)[1] == tuple(sorted(oriented))
         assert (list(map(id, diagram.sorted_parts(d.nodes, oriented)[1]))
                 == list(map(id, sorted(oriented))))
+
+
+_NAMES = ["a", "b", "b1", "", "n10", "n2", "\u00e9"]
+
+
+def _record_fields(rng, new):
+    names = 2 if new is Edge else 1
+    return (*(rng.choice(_NAMES) for _ in range(names)),
+            *(rng.randint(-3, 3) for _ in range(4 - names)))
+
+
+@pytest.mark.parametrize("new, old", [(Edge, DataclassEdge), (Arrowhead, DataclassArrowhead)])
+def test_records_behave_as_the_dataclasses(new, old):
+    rng = random.Random(53)
+    fields = [_record_fields(rng, new) for _ in range(300)]
+    news, olds = [new(*f) for f in fields], [old(*f) for f in fields]
+    assert list(map(repr, news)) == list(map(repr, olds))
+    assert list(map(hash, news)) == list(map(hash, olds))
+    order = list(range(len(fields)))
+    assert sorted(order, key=news.__getitem__) == sorted(order, key=olds.__getitem__)
+    for i, j in zip(order, reversed(order)):
+        for op in ("__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"):
+            assert getattr(news[i], op)(news[j]) == getattr(olds[i], op)(olds[j])
+    for x, y in zip(news[:20], olds[:20]):
+        for name in new._fields:
+            for change in (lambda r: setattr(r, name, 1), lambda r: delattr(r, name)):
+                for record in (x, y):
+                    with pytest.raises(AttributeError):
+                        change(record)
+        if new is Edge:
+            for w in (x.u, x.v, "absent"):
+                assert x.other(w) == y.other(w)
+                assert x.key() == y.key()
+                if w in (x.u, x.v):
+                    assert x.dec_at(w) == y.dec_at(w)
+                else:
+                    with pytest.raises(KeyError):
+                        x.dec_at(w)
+        # the one change: a record equals the plain tuple of its fields
+        assert x == tuple(x) and y != tuple(x)
+
+
+def test_arrows_at_reads_the_skeleton_spans():
+    diagrams = [example(name) for name in EXAMPLES]
+    diagrams += [random_diagram(s, m) for s in range(10) for m in (6, 30)]
+    diagrams += [realizable_refine(d) for d in diagrams[len(EXAMPLES):]]
+    diagrams.append(INVALID["unknown node"])
+    for d in diagrams:
+        for v in {*d.nodes, *(a.node for a in d.arrows), "not a node"}:
+            assert d.arrows_at(v) == [a for a in d.arrows if a.node == v]
+
+
+def test_coprimality_on_stars_matches_the_reference():
+    rng = random.Random(11)
+    stars = [[2, 3, 5, 4, 7], [6, 35, 11, 4, 9]]
+    stars += [[rng.randint(1, 12) for _ in range(rng.randint(1, 8))] for _ in range(100)]
+    for decs in stars:
+        leaves = [f"l{i}" for i in range(len(decs))]
+        d = Diagram(["c", *leaves], [Edge("c", v, x, 1) for v, x in zip(leaves, decs)],
+                    [Arrowhead("c", 1, 1, 1), *(Arrowhead(v, 1, 0, 1) for v in leaves)])
+        assert validate(d) == validate_reference(d)
+    first = Diagram(["c", "l0", "l1", "l2", "l3", "l4"],
+                    [Edge("c", f"l{i}", x, 1) for i, x in enumerate([2, 3, 5, 4, 7])],
+                    [Arrowhead("c", 1, 1, 1)])
+    assert [m for m in validate(first) if "coprime" in m] == [
+        "decorations 2 and 4 at node c are not coprime"]
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)

@@ -7,14 +7,14 @@ import functools
 import io
 import random
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 
 import oracles
 from memo import forget_plans
 from splicezeta import diagram, refine
-from splicezeta.algebra import Poly2, _partial_fractions_vanish, _term_fractions
+from splicezeta.algebra import Poly2, _add_ratio, _partial_fractions_vanish, _term_fractions
 from splicezeta.cli import main
 from splicezeta.diagram import Arrowhead, Diagram
 from splicezeta.errors import DegenerateDenominator, PoleAtOne
@@ -81,6 +81,21 @@ def test_term_fractions_agree_with_the_fraction_reference():
             continue
         factors, den, parts = _term_fractions(chi, pairs)
         assert as_fractions(factors, den, parts) == want, (chi, pairs)
+
+
+def test_partial_fraction_sums_stay_in_lowest_terms():
+    rng = random.Random(19)
+    for _ in range(300):
+        acc, reference = {}, {}
+        for _ in range(rng.randint(1, 12)):
+            key = rng.randint(0, 2)
+            num = rng.choice([-1, 1]) * rng.randint(1, 60)
+            den = rng.choice([-1, 1]) * rng.randint(1, 60)
+            _add_ratio(acc, key, num, den)
+            reference[key] = reference.get(key, 0) + Fraction(num, den)
+        assert {k: Fraction(*p) for k, p in acc.items()} == {
+            k: v for k, v in reference.items() if v}
+        assert all(gcd(*p) == 1 for p in acc.values())
 
 
 def test_roots_are_reduced_with_a_positive_second_entry():

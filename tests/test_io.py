@@ -1,10 +1,17 @@
 import hashlib
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splicezeta.diagram import multiplicities, validate
-from splicezeta.errors import DegenerateBranch, ParseError, ValidationError
+from oracles import BUILDERS_REFERENCE
+from splicezeta import diagram, sdio
+from splicezeta.diagram import (
+    Arrowhead, Diagram, Edge, multiplicities, validate, validation_warnings,
+)
+from splicezeta.errors import (
+    DegenerateBranch, ParseError, SpliceZetaError, ValidationError,
+)
 from splicezeta.refine import reduce
 from splicezeta.sdio import (
     EXAMPLES,
@@ -17,6 +24,7 @@ from splicezeta.sdio import (
     write_sd,
 )
 from splicezeta.splice import splice
+from splicezeta.zeta import twisted_top_zeta
 
 CUSP_DOC = """\
 # cusp with form x^4 y^5
@@ -131,6 +139,68 @@ def test_builders_reject_degenerate_branches():
         builder_monomial(0, 0, 0, 0)
     with pytest.raises(DegenerateBranch):
         builder_nv_example2(0, 1, 1, 1)
+
+
+def _outcome(build, args):
+    """What a builder call shows: its diagram's parts, text and checks, or
+    its error."""
+    try:
+        d = build(*args)
+    except SpliceZetaError as exc:
+        return type(exc), str(exc)
+    assert d.arrows == tuple(sorted(d.arrows)) and not d.caches
+    assert all(type(a) is Arrowhead for a in d.arrows)
+    assert all(type(e) is Edge for e in d.edges)
+    return (d.nodes, d.edges, d.arrows, d.caches, d.skeleton.arrow_decs,
+            write_sd(d), validate(d), validation_warnings(d))
+
+
+def _assert_builders_match(name, args):
+    assert (_outcome(getattr(sdio, name), args)
+            == _outcome(BUILDERS_REFERENCE[name], args))
+
+
+def test_builders_match_the_reference_on_the_sweep_grid():
+    for t in itertools.product(range(6), range(6), range(10), range(10)):
+        _assert_builders_match("builder_nv_example2", t)
+
+
+_VALID = {"builder_monomial": (2, 3, 1, 1), "builder_cusp": (4, 5),
+          "builder_nv_example2": (1, 2, 3, 4), "builder_xy2_chain": ()}
+_ARG = st.integers(-3, 5) | st.integers(-10 ** 30, 10 ** 30)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(BUILDERS_REFERENCE)), args=st.lists(_ARG, min_size=4, max_size=4))
+def test_builders_match_the_reference_property(name, args):
+    _assert_builders_match(name, args[:len(_VALID[name])])
+
+
+def _evict_builder_skeletons():
+    for k in range(2, diagram._SKELETON_BOUND + 3):  # 65 other skeletons
+        Diagram(["p", "q"], [Edge("p", "q", 1, k)], [Arrowhead("p", 1, 1, 1)])
+    table = list(diagram._skeletons.values())
+    assert not any(s in table for s in sdio._builder_skeletons.values())
+
+
+@pytest.mark.parametrize("name", sorted(_VALID))
+def test_builders_match_the_reference_after_eviction(name):
+    build, reference, args = getattr(sdio, name), BUILDERS_REFERENCE[name], _VALID[name]
+    build(*args)  # the builder holds its skeleton from here on
+    # first the builder's skeleton enters the table again, then an equal
+    # skeleton of the reference does, whose plan the builder then uses
+    for reference_first in (False, True):
+        _evict_builder_skeletons()
+        ref = reference(*args) if reference_first else None
+        d = build(*args)
+        rendered = twisted_top_zeta(d, 330).render()
+        if ref is None:
+            ref = reference(*args)
+        assert d.skeleton in sdio._builder_skeletons.values()
+        assert (ref.skeleton is d.skeleton) != reference_first
+        assert twisted_top_zeta(ref, 330).render() == rendered
+        for other in (args, (0,) * len(args), (-1,) * len(args)):
+            _assert_builders_match(name, other)
 
 
 def test_random_diagram_seed_zero_moves():
