@@ -243,6 +243,9 @@ class RatFuncS:
 
     def pole_list(self):
         """Surviving poles as (location, multiplicity), grouped by _root pair."""
+        if len(self.den) == 1:
+            ((n, nu), m), = self.den
+            return [(Fraction(-nu, n), m)] if n > 0 else []
         acc = {}
         for (n, nu), m in self.den:
             if n > 0:

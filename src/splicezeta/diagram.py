@@ -11,6 +11,7 @@ the function alone is (N, 1); a form-only branch is (0, nu).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd, prod
 from operator import itemgetter
@@ -67,11 +68,11 @@ class Skeleton:
     It keeps what depends on the skeleton alone, each computed on first use:
     verdict, validate's findings once the arrowheads' (N, nu) are clean
     (False when the skeleton has an unknown node or a decoration < 1, which
-    validate reports together with those), and plan, the refinement plan
-    (refine._Plan).
+    validate reports together with those), plan, the refinement plan
+    (refine._Plan), and products (see Diagram.outer_product).
     """
 
-    __slots__ = ("nodes", "edges", "arrow_decs", "adj", "spans", "verdict", "plan")
+    __slots__ = ("nodes", "edges", "arrow_decs", "adj", "spans", "verdict", "plan", "products")
 
     def __init__(self, nodes, edges, arrow_decs):
         self.nodes, self.edges, self.arrow_decs = nodes, edges, arrow_decs
@@ -85,7 +86,7 @@ class Skeleton:
         self.spans = spans = {}
         for i, (v, _) in enumerate(arrow_decs):
             spans[v] = (spans[v][0] if v in spans else i, i + 1)
-        self.verdict = self.plan = None
+        self.verdict, self.plan, self.products = None, None, {}
 
     def interned(self):
         """This skeleton, or the equal one the intern table holds since this
@@ -164,11 +165,17 @@ class Diagram:
         return None
 
     def outer_product(self, v, exclude_edge=None, exclude_arrow=None):
-        """Product of the decorations at v other than the excluded one."""
-        acc = 1
-        for e in self.skeleton.adj[v]:
-            if e is not exclude_edge:
-                acc *= e.dec_at(v)
+        """Product of the decorations at v other than the excluded one; the
+        skeleton keeps per node the product of its edges' decorations and how
+        often it lists each Edge object, so that an excluded edge that is one
+        of v's own objects divides out, unless it is decorated 0."""
+        adj, products = self.skeleton.adj[v], self.skeleton.products
+        acc, own = products.get(v) or products.setdefault(
+            v, (prod(e.dec_at(v) for e in adj), Counter(map(id, adj))))
+        if k := own.get(id(exclude_edge)):
+            dec = exclude_edge.dec_at(v)
+            acc = acc // dec ** k if dec else prod(
+                e.dec_at(v) for e in adj if e is not exclude_edge)
         skipped = False
         for a in self.arrows_at(v):
             if not skipped and a == exclude_arrow:

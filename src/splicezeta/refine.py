@@ -103,9 +103,9 @@ class Subdivision:
 def smooth_subdivide_minimal(u, v):
     """Minimal smooth chain from u to v (Hirzebruch-Jung).
 
-    Repeatedly take a primitive vector at determinant one from the current
-    left generator and shift it by multiples of that generator until it just
-    enters the cone; this forces every interior relation coefficient to be
+    From w_0 = u, w_(i+1) = b_i w_i - w_(i-1) with b_i = ceil(r_(i-1) / r_i)
+    for r_i = det(w_i, v), until r_i = 1; w_(-1) is minus a vector at
+    determinant one from u.  Every interior relation coefficient b_i is then
     at least two, which characterizes the minimal subdivision.
     """
     u, v = tuple(u), tuple(v)
@@ -116,18 +116,12 @@ def smooth_subdivide_minimal(u, v):
     q = det2(u, v)
     if q < 1:
         raise NegativeDeterminant(f"det({u}, {v}) = {q} < 1")
-    chain = [u]
-    cur = u
-    while det2(cur, v) > 1:
-        # solve det(cur, w) = 1, then shift by multiples of cur into the cone
-        g, x, y = _ext_gcd(cur[0], cur[1])
-        w = (-y, x)
-        assert det2(cur, w) == 1
-        t = -(det2(w, v) // det2(cur, v))
-        w = (w[0] + t * cur[0], w[1] + t * cur[1])
-        assert det2(w, v) >= 0
-        chain.append(w)
-        cur = w
+    _, x, y = _ext_gcd(*u)
+    chain, prev, r_prev, r = [u], (y, -x), det2((y, -x), v), q
+    while r > 1:
+        b, w = -(-r_prev // r), chain[-1]
+        chain.append((b * w[0] - prev[0], b * w[1] - prev[1]))
+        prev, r_prev, r = w, r, b * r - r_prev
     chain.append(v)
     return Subdivision(chain)
 
@@ -333,7 +327,7 @@ class _Plan:
     to node moved[i].  recent holds the latest _RECENT (input,
     result) pairs, newest last: a whole diagram and its splice halves can
     share one skeleton, and one slot would have them evict each other.
-    linking is the skeleton's _Linking once refined_strata has built it
+    linking is the skeleton's _Linking once linking_map has built it
     (False where it never will).
     """
 
@@ -515,63 +509,83 @@ class _Linking:
             at[i] += 1
         self.valencies = [len(near) + k for near, k in zip(steps, at)]
         self.edge_ends = [(index[e.u], index[e.v]) for e in tree.edges]
-        self.kept = {}  # see twisted, oldest first
+        self.kept = {}  # see _read, oldest first
+
+    def _read(self, d, order):
+        """(pairs, N's, nu's, entry) of d, without caches, at this order, pairs the
+        (N, nu) of the nodes it keeps; None where a node or arrowhead has (0, 0)
+        (N = 0, which every order keeps), so that the replay raises.  kept maps
+        the latest _RECENT (order, N's) to their entry: per kept node (const,
+        column row, N, valency); (2 - valency, position) where valency != 2; the
+        kept edges and (node, arrowhead) pairs by position, an arrowhead's after
+        the nodes'; and the positions of the kept nodes and arrowheads with N = 0."""
+        ns = tuple(map(_N, d.arrows))
+        entry = self.kept.get((order, ns))
+        if entry is None:
+            by_node = list(zip(*self.columns)) or [()] * len(self.const)
+            at, rows = {}, []
+            for i, row in enumerate(by_node):
+                if (n := sum(map(mul, ns, row))) % order == 0:
+                    at[i] = len(rows)
+                    rows.append((self.const[i], row, n, self.valencies[i]))
+            entry = self.kept[order, ns] = (
+                rows, [(2 - row[3], k) for k, row in enumerate(rows) if row[3] != 2],
+                [(at[u], at[v]) for u, v in self.edge_ends if u in at and v in at],
+                [(at[i], len(rows) + j) for j, i in enumerate(self.arrow_at)
+                 if i in at and ns[j] % order == 0],
+                [k for k, row in enumerate(rows) if not row[2]],
+                [j for j, n in enumerate(ns) if not n])
+            self.kept = dict(list(self.kept.items())[-_RECENT:])
+        nus = list(map(_NU, d.arrows))
+        pairs = [(n, c + sum(map(mul, nus, row))) for c, row, n, _ in entry[0]]
+        return None if 0 in nus and 0 in map(nus.__getitem__, entry[5]) or entry[4] and (
+            (0, 0) in map(pairs.__getitem__, entry[4])) else (pairs, ns, nus, entry)
 
     def twisted(self, d, order):
-        """_strata(realizable_refine(d)) cut to the strata whose N's order divides, for d
-        without caches, with nu only at the kept nodes; None where a node or arrowhead has
-        (0, 0), whose N every order divides, so that the replay raises.  kept maps the
-        latest _RECENT (order, N's) to the kept nodes, edges and (arrowhead, node) pairs."""
-        ns = tuple(map(_N, d.arrows))
-        if (order, ns) not in self.kept:
-            by_node = list(zip(*self.columns)) or [()] * len(self.const)
-            rows = [(i, self.const[i], row, n, self.valencies[i]) for i, row in enumerate(by_node)
-                    if (n := sum(map(mul, ns, row))) % order == 0]
-            at = {row[0] for row in rows}
-            self.kept[order, ns] = (
-                rows, [(u, v) for u, v in self.edge_ends if u in at and v in at],
-                [(j, i) for j, i in enumerate(self.arrow_at) if i in at and ns[j] % order == 0])
-            self.kept = dict(list(self.kept.items())[-_RECENT:])
-        rows, edges, arrows = self.kept[order, ns]
-        nus = list(map(_NU, d.arrows))
-        pairs = {i: (c + sum(map(mul, nus, row)), n) for i, c, row, n, _ in rows}
-        if (0, 0) in pairs.values() or (0, 0) in zip(nus, ns):
+        """_strata(realizable_refine(d)) cut to the strata whose N's order divides, or None."""
+        if (read := self._read(d, order)) is None:
             return None
-        return ([(pairs[i], delta) for i, _, _, _, delta in rows],
-                [(pairs[u], pairs[v]) for u, v in edges],
-                [(pairs[i], (nus[j], ns[j])) for j, i in arrows])
+        pairs, ns, nus, (rows, _, edges, arrows, _, _) = read
+        pairs = [(nu, n) for n, nu in pairs + list(zip(ns, nus))]
+        return ([(p, row[3]) for p, row in zip(pairs, rows)],
+                *([(pairs[u], pairs[v]) for u, v in links] for links in (edges, arrows)))
+
+    def terms(self, d, order):
+        """zeta._top_terms(d, order), term for term, off the strata twisted reads, or None."""
+        if (read := self._read(d, order)) is None:
+            return None
+        pairs, ns, nus, (_, chis, edges, arrows, _, _) = read
+        terms = [(chi, (pairs[k],)) for chi, k in chis]
+        if edges or arrows:
+            pairs += zip(ns, nus)
+            terms += [(1, (pairs[u], pairs[v])) for u, v in edges + arrows]
+        return terms
 
 
-def refined_strata(d, order=None):
-    """_strata(realizable_refine(d)), kept on that refinement; with an order,
-    only the strata whose N's it divides.  An input without caches reads them
-    from the linking map of d's plan where it has one, through its twisted
-    (order 1 keeps every stratum); the others, and one where the map finds a
-    (0, 0) pair, are replayed, and raise there.
-
-    A skeleton gets a map on the first input whose arrowheads no recent
-    input of its plan had, e.g. the second point of a form-parameter sweep,
-    and only when every arrowhead has decoration 1 (decorated ones take
-    their values from caches) and validate finds nothing wrong with that
-    input.  Until then an input that repeats a recent input's arrowheads,
-    with or without caches, is replayed (and mostly hits the plan's memo).
-    """
+def linking_map(d):
+    """The linking map of d's plan, for d without caches; else None.  A plan
+    gets its map from the first input whose arrowheads no recent input had
+    (the second point of a form-parameter sweep), if every arrowhead has
+    decoration 1 (decorated ones take their values from caches) and validate
+    finds nothing wrong with that input."""
     plan = _planned(d).plan
     if plan is not None and plan.linking is None and not plan.moved \
             and all(x.arrows != d.arrows for x, _ in plan.recent):
         plan.linking = False if validate(d) else _Linking(plan, d)
-    if plan is not None and plan.linking and not d.caches:
-        strata = plan.linking.twisted(d, order or 1)
-        if strata is not None:
-            return strata
+    return None if d.caches or plan is None else plan.linking or None
+
+
+def refined_strata(d):
+    """_strata(realizable_refine(d)), kept on that refinement, or read off
+    linking_map(d) at order 1, which keeps every stratum; the replay raises
+    where the map finds a (0, 0) pair."""
+    linking = linking_map(d)
+    if linking and (strata := linking.twisted(d, 1)) is not None:
+        return strata
     out = realizable_refine(d)
     if out._strata is None:
         out._strata = _strata(out)
-    nodes, edges, arrows = strata = out._strata
-    return strata if order is None else (
-        [(pair, delta) for pair, delta in nodes if pair[1] % order == 0],
-        [(p, q) for p, q in edges if not (p[1] % order or q[1] % order)],
-        [(p, q) for p, q in arrows if not (p[1] % order or q[1] % order)])
+    return out._strata
 
 
 def reduce(d):

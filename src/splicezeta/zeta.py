@@ -16,7 +16,7 @@ from operator import mul
 
 from .algebra import Poly2, _div_linear, _partial_fraction_sum
 from .errors import DegenerateDenominator, ExpansionTooLarge, PoleAtOne
-from .refine import realizable_refine, refined_strata
+from .refine import linking_map, realizable_refine, refined_strata
 
 L_MINUS_1 = Poly2({(1, 0): 1, (0, 0): -1})
 L_MINUS_1_SQ = L_MINUS_1 * L_MINUS_1
@@ -254,12 +254,18 @@ def _add_term(acc, key, coeff):
 
 
 def _top_terms(diagram, order=None):
-    """(chi, (N, nu) pairs) terms of the (possibly twisted) topological zeta."""
+    """(chi, (N, nu) pairs) terms of the (possibly twisted) topological zeta,
+    of the strata whose N's order divides, off linking_map or refined_strata."""
     if order is not None and order < 1:
         raise ValueError("order must be a positive integer")
-    nodes, edges, arrows = refined_strata(diagram, order)
-    terms = [(2 - delta, ((n, nu),)) for (nu, n), delta in nodes if delta != 2]
-    return terms + [(1, ((n, nu), (m, mu))) for (nu, n), (mu, m) in edges + arrows]
+    order, linking = order or 1, linking_map(diagram)
+    if linking and (terms := linking.terms(diagram, order)) is not None:
+        return terms
+    nodes, edges, arrows = refined_strata(diagram)
+    terms = [(2 - delta, ((n, nu),)) for (nu, n), delta in nodes
+             if delta != 2 and n % order == 0]
+    return terms + [(1, ((n, nu), (m, mu))) for (nu, n), (mu, m) in edges + arrows
+                    if not (n % order or m % order)]
 
 
 def top_zeta(diagram):

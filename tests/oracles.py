@@ -118,6 +118,23 @@ def brute_minimal_chains(u, v, bound):
 # Cyclotomic expansion oracle.
 # ---------------------------------------------------------------------------
 
+def minimal_chain_per_vector(u, v):
+    """The minimal smooth chain from u to v, one Euclid per vector: from the
+    current vector cur, the primitive w with det(cur, w) = 1, shifted by
+    multiples of cur until it just enters the cone.  u and v are primitive
+    with det(u, v) >= 1."""
+    from splicezeta.refine import _ext_gcd
+
+    chain, cur = [u], u
+    while det(cur, v) > 1:
+        _, x, y = _ext_gcd(cur[0], cur[1])
+        w = (-y, x)
+        t = -(det(w, v) // det(cur, v))
+        cur = (w[0] + t * cur[0], w[1] + t * cur[1])
+        chain.append(cur)
+    return chain + [v]
+
+
 def expand_cyclo(exps):
     """Expand prod (t^n - 1)^(e_n) with e_n >= 0 as a sympy polynomial."""
     t = sp.symbols("t")
@@ -462,6 +479,23 @@ def decorations_at(d, v):
     out = [e.dec_at(v) for e in d.node_edges(v)]
     out.extend(a.dec for a in d.arrows_at(v))
     return out
+
+
+def outer_product(d, v, exclude_edge=None, exclude_arrow=None):
+    """Diagram.outer_product by one loop over the decorations at v, which
+    skips the excluded edge by identity and the first arrowhead equal to the
+    excluded one."""
+    acc = 1
+    for e in d.node_edges(v):
+        if e is not exclude_edge:
+            acc *= e.dec_at(v)
+    skipped = False
+    for a in d.arrows_at(v):
+        if not skipped and a == exclude_arrow:
+            skipped = True
+            continue
+        acc *= a.dec
+    return acc
 
 
 def linking(d, source, target):

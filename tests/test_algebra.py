@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from splicezeta.algebra import CycloProduct, Poly2, RatFuncS, _partial_fraction_sum
+from splicezeta.sdio import EXAMPLES, builder_nv_example2, example
+from splicezeta.zeta import top_zeta, twisted_top_zeta
 
 from oracles import (
     _phi_multiplicity,
@@ -215,8 +217,18 @@ def test_cyclo_product_and_polynomiality():
     assert str(zeta) == "(t^6 - 1) / ((t^2 - 1)*(t^3 - 1))"
 
 
+def _grouped_poles(f):
+    """f.pole_list() by a dict of the roots of f's factors, sorted."""
+    grouped = {}
+    for (n, nu), m in f.den:
+        if n > 0:
+            grouped[Fraction(-nu, n)] = grouped.get(Fraction(-nu, n), 0) + m
+    return sorted(grouped.items())
+
+
 def test_pole_list_groups_factors_by_their_reduced_root():
     rng = random.Random(61)
+    sizes = set()
     for _ in range(300):
         den = {}
         for _ in range(rng.randint(0, 5)):
@@ -225,9 +237,16 @@ def test_pole_list_groups_factors_by_their_reduced_root():
             if p != (0, 0):
                 den[p] = den.get(p, 0) + rng.randint(1, 3)
         f = RatFuncS((1,), den.items(), 1)
-        grouped = {}
-        for (n, nu), m in f.den:
-            if n > 0:
-                grouped[Fraction(-nu, n)] = grouped.get(Fraction(-nu, n), 0) + m
-        assert f.pole_list() == sorted(grouped.items())
+        assert f.pole_list() == _grouped_poles(f)
         assert all(type(s) is Fraction for s, _ in f.pole_list())
+        sizes.add((len(f.den), len(f.den) == 1 and f.den[0][0][0] > 0))
+    assert {(1, True), (1, False)} <= sizes and max(sizes)[0] > 3
+
+
+def test_pole_list_of_zetas_with_one_and_many_factors():
+    zetas = [top_zeta(example(name)) for name in EXAMPLES]
+    zetas += [twisted_top_zeta(builder_nv_example2(*t), order)
+              for t in [(1, 1, 1, 1), (2, 3, 4, 5), (5, 1, 2, 9)] for order in (2, 60, 330)]
+    for z in zetas:
+        assert z.pole_list() == _grouped_poles(z)
+    assert {len(z.den) for z in zetas} >= {1, 2, 3}

@@ -48,6 +48,7 @@ from oracles import (
     linking_from_edge,
     linking_multiplicities,
     linking_side_weight,
+    outer_product as outer_product_reference,
     validate_reference,
 )
 
@@ -259,6 +260,29 @@ def test_equal_edges_keep_their_own_objects(order):
                 realizable_refine(d)
         else:
             assert len(realizable_refine(d).nodes) == refined
+
+
+def test_outer_product_matches_the_loop():
+    # zero and negative decorations, one Edge object listed twice, loops, and
+    # excluded edges that equal one at v without being it, or are not at v
+    rng = random.Random(71)
+    cases = [_EQUAL_EDGES[name]() for name in _EQUAL_EDGES]
+    for _ in range(200):
+        edges = [Edge(*rng.choices("abc", k=2), rng.randint(-2, 4), rng.randint(-2, 4))
+                 for _ in range(rng.randint(0, 5))]
+        edges += rng.sample(edges, min(len(edges), rng.randint(0, 2)))
+        arrows = [Arrowhead(rng.choice("abc"), rng.randint(0, 3), 1, 1)
+                  for _ in range(rng.randint(0, 4))]
+        cases.append(Diagram(["a", "b", "c"], edges, arrows))
+    for d in cases:
+        for v in d.nodes:
+            excluded = [None, *d.edges, *(Edge(*e) for e in d.edges)]
+            for e in excluded:
+                assert d.outer_product(v, exclude_edge=e) == outer_product_reference(
+                    d, v, exclude_edge=e), (d.edges, v, e)
+            for a in d.arrows_at(v):
+                assert d.outer_product(v, exclude_arrow=a) == outer_product_reference(
+                    d, v, exclude_arrow=a)
 
 
 def test_diagram_parts_sort_as_the_dataclass_order():

@@ -1,4 +1,5 @@
 import ast
+import collections
 import itertools
 import random
 from math import gcd
@@ -52,10 +53,10 @@ from splicezeta.sdio import (
     write_sd,
 )
 from splicezeta.splice import splice
-from splicezeta.zeta import motivic_zeta, poles, top_zeta, twisted_top_zeta
+from splicezeta.zeta import _top_terms, motivic_zeta, poles, top_zeta, twisted_top_zeta
 
 from memo import forget_plans, planned
-from oracles import brute_minimal_chains, toric_values
+from oracles import brute_minimal_chains, minimal_chain_per_vector, toric_values
 
 
 def test_minimal_subdivision_det5_example():
@@ -549,6 +550,16 @@ def _filtered_replay(order):
     return lambda d: _divisible(_replayed(d), order)
 
 
+def _filtered_terms(order):
+    """The terms of the replay's strata whose N's order divides, built from
+    them as _top_terms builds terms from strata."""
+    def terms(d):
+        nodes, edges, arrows = _divisible(_replayed(d), order)
+        return [(2 - delta, ((n, nu),)) for (nu, n), delta in nodes if delta != 2] \
+            + [(1, ((n, nu), (m, mu))) for (nu, n), (mu, m) in edges + arrows]
+    return terms
+
+
 def test_twisted_strata_equal_the_filtered_strata_on_the_sweep_grid():
     linking = _linking(builder_nv_example2(1, 1, 1, 1))
     kept = set()
@@ -579,6 +590,57 @@ def test_twisted_strata_equal_the_filtered_replay_property(seed, m, no_n, order,
         assert linking.twisted(x, order) == _or_none(_outcome(_filtered_replay(order), x))
 
 
+def test_top_terms_from_the_map_equal_the_filtered_replay_terms(monkeypatch):
+    """Random skeletons, form data and orders: _top_terms through the linking
+    map has the outcome of the filtered replay, terms or exception alike."""
+    # the evictions below stay in a copy of the intern table
+    monkeypatch.setattr(diagram, "_skeletons", dict(diagram._skeletons))
+    rng = random.Random(17)
+    seen = collections.Counter()
+    for s in range(36):
+        d = reduce(random_diagram(s, (6, 14, 30)[s % 3]))
+
+        def drawn(pairs):
+            return Diagram(d.nodes, d.edges, [Arrowhead(a.node, 1, n, nu)
+                                              for a, (n, nu) in zip(d.arrows, pairs)])
+
+        forget_plans()
+        realizable_refine(drawn([(1, 1)] * len(d.arrows)))
+        assert refine.linking_map(drawn([(2, 1)] * len(d.arrows)))  # builds the map
+        for k in range(8):
+            top = rng.choice([0, 6])  # all N = 0 gives refined nodes with N = 0
+            pairs = [(rng.randint(0, top), rng.randint(-4, 8)) for _ in d.arrows]
+            pairs = [p if p != (0, 0) else (0, 1) for p in pairs]
+            order = rng.choice([None, 1, 2, 3, 6, 7])
+            if k % 4 == 1:  # one (0, 0) arrowhead, at a node the order keeps or drops
+                j = rng.randrange(len(pairs))
+                node_n = diagram.side_weights(drawn(pairs))[0][d.arrows[j].node][0]
+                pairs[j] = (0, 0)
+                seen["(0, 0) kept" if node_n % (order or 1) == 0 else "(0, 0) dropped"] += 1
+            x = drawn(pairs)
+            if k % 4 == 2 and _outcome(_replayed, x)[0] != "raised":
+                x = ensure_cached(x) if k % 8 == 2 else x.with_caches({x.nodes[0]: (1, 1)})
+                seen["cached"] += 1
+            if k == 7:  # the skeleton leaves the intern table, and its plan with it
+                for i in range(diagram._SKELETON_BOUND):
+                    Diagram([f"evict{s}.{i}"], [], [])
+                assert x.skeleton not in diagram._skeletons.values()
+                seen["evicted"] += 1
+            actual = _outcome(lambda y: _top_terms(y, order), x)
+            expected = _outcome(_filtered_terms(order or 1), x)
+            assert actual == expected, (s, k, order, pairs)
+            linking = refine.linking_map(x)
+            if linking:
+                assert linking.terms(x, order or 1) == _or_none(expected)
+                seen["served"] += 1
+                nodes = _outcome(_replayed, x)
+                if nodes[0] == "strata" and any(n == 0 for (_, n), _ in nodes[1][0]):
+                    seen["N = 0 node"] += 1
+            seen[expected[:2] if expected[0] == "raised" else "terms"] += 1
+    assert min(seen.values()) >= 3, seen
+    assert seen["served"] > 150 and seen["terms"] > 150, seen
+
+
 def test_twisted_strata_raise_what_the_filtered_replay_raises():
     nv2 = builder_nv_example2(1, 1, 1, 1)
     cases = [
@@ -598,7 +660,8 @@ def test_twisted_strata_raise_what_the_filtered_replay_raises():
             expected = _outcome(_filtered_replay(order), bad)
             assert expected[:2] == ("raised", DegenerateDenominator)
             assert linking.twisted(bad, order) is None
-            assert _outcome(lambda y: refine.refined_strata(y, order), bad) == expected
+            assert linking.terms(bad, order) is None
+            assert _outcome(lambda y: _top_terms(y, order), bad) == expected
             messages.add(expected[2])
     assert len(messages) == len(cases)
 
@@ -610,9 +673,10 @@ def test_cached_inputs_take_the_full_strata_with_their_checks():
         twisted_top_zeta(d, 330)
     assert second.skeleton.plan.linking
     for d in (second.with_caches({"n5": (66, 5)}), ensure_cached(second)):
+        assert _outcome(refine.refined_strata, d) == _outcome(_replayed, d)
         for order in (None, 1, 60, 330):
-            expected = _outcome(_replayed if order is None else _filtered_replay(order), d)
-            assert _outcome(lambda y: refine.refined_strata(y, order), d) == expected
+            expected = _outcome(_filtered_terms(order or 1), d)
+            assert _outcome(lambda y: _top_terms(y, order), d) == expected
     with pytest.raises(CacheMismatch, match="node n5: cached"):
         twisted_top_zeta(second.with_caches({"n5": (66, 5)}), 330)
 
@@ -746,6 +810,35 @@ def test_chain_length_matches_the_subdivision():
     # cones smooth_subdivide_minimal refuses count nothing
     assert refine._chain_length((2, 0), (1, 1)) == refine._chain_length((0, 1), (1, 0)) == 0
     assert refine._chain_length((1, 1), (1, 10 ** 100)) == 10 ** 100 - 2
+
+
+def _fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a, b
+
+
+_vector = st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(u=_vector, v=_vector, k=st.integers(2, 400),
+       shear=st.lists(st.tuples(st.booleans(), st.integers(-5, 5)), max_size=6))
+def test_minimal_chain_by_the_recurrence_equals_the_per_vector_routine(u, v, k, shear):
+    cones = []
+    if is_primitive(u) and is_primitive(v) and det2(u, v):
+        cones.append((u, v) if det2(u, v) > 0 else (v, u))
+    # a Fibonacci cone, the longest chain for its size, moved by a unimodular map
+    w_l, w_r = (1, 0), _fibonacci(k)
+    for upper, t in shear:
+        def move(w):
+            return (w[0] + t * w[1], w[1]) if upper else (w[0], w[1] + t * w[0])
+        w_l, w_r = move(w_l), move(w_r)
+    cones.append((w_l, w_r))
+    for w_l, w_r in cones:
+        chain = minimal_chain_per_vector(w_l, w_r)
+        assert list(smooth_subdivide_minimal(w_l, w_r).vectors) == chain
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
