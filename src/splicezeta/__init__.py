@@ -27,7 +27,6 @@ from .refine import (
 )
 from .zeta import (
     ZetaExpr,
-    candidate_poles_motivic,
     motivic_zeta,
     poles,
     specialize_chi_top,

@@ -101,54 +101,49 @@ class Subdivision:
 
 
 def smooth_subdivide_minimal(u, v):
-    """Minimal smooth chain from u to v (Hirzebruch-Jung).
-
-    From w_0 = u, w_(i+1) = b_i w_i - w_(i-1) with b_i = ceil(r_(i-1) / r_i)
-    for r_i = det(w_i, v), until r_i = 1; w_(-1) is minus a vector at
-    determinant one from u.  Every interior relation coefficient b_i is then
-    at least two, which characterizes the minimal subdivision.
-    """
+    """Minimal smooth chain from u to v (Hirzebruch-Jung), that of _hj_walk:
+    every interior relation coefficient b_i is at least two, which
+    characterizes the minimal subdivision."""
     u, v = tuple(u), tuple(v)
-    if not is_primitive(u):
-        raise NonPrimitiveInput(f"{u} is not primitive")
-    if not is_primitive(v):
-        raise NonPrimitiveInput(f"{v} is not primitive")
+    for w in (u, v):
+        if not is_primitive(w):
+            raise NonPrimitiveInput(f"{w} is not primitive")
     q = det2(u, v)
     if q < 1:
         raise NegativeDeterminant(f"det({u}, {v}) = {q} < 1")
-    _, x, y = _ext_gcd(*u)
-    chain, prev, r_prev, r = [u], (y, -x), det2((y, -x), v), q
-    while r > 1:
-        b, w = -(-r_prev // r), chain[-1]
-        chain.append((b * w[0] - prev[0], b * w[1] - prev[1]))
-        prev, r_prev, r = w, r, b * r - r_prev
-    chain.append(v)
-    return Subdivision(chain)
+    chain, (prev, runs) = [u], _hj_walk(u, v)
+    for b in (b for b, k in runs for _ in range(k)):
+        chain.append((b * chain[-1][0] - prev[0], b * chain[-1][1] - prev[1]))
+        prev = chain[-2]
+    return Subdivision(chain + [v])
 
 
 def _chain_length(w_l, w_r):
     """len(smooth_subdivide_minimal(w_l, w_r).interior) in O(log det) steps,
-    and 0 for a cone that routine refuses.
-
-    The chain's vectors w_1, w_2, ... have determinants r_i = det(w_i, w_r)
-    falling from r_0 = det(w_l, w_r) to 1 by r_(i+1) = -r_(i-1) mod r_i (the
-    Hirzebruch-Jung continued fraction of r_0 / r_1).  Where r_(i-1) < 2 r_i
-    they fall by the same step r_(i-1) - r_i while above it, and such a run
-    is counted at once.
-    """
-    q = det2(w_l, w_r)
-    if q <= 1 or not (is_primitive(w_l) and is_primitive(w_r)):
+    and 0 for a cone that routine refuses."""
+    if det2(w_l, w_r) <= 1 or not (is_primitive(w_l) and is_primitive(w_r)):
         return 0
-    _, x, y = _ext_gcd(*w_l)
-    n, a, b = 1, q, det2((-y, x), w_r) % q  # det(w_l, (-y, x)) = 1
-    while b > 1:
-        if 2 * b > a:
-            step = a - b
-            run = (b - 1) // step
-            n, a, b = n + run, b - (run - 1) * step, b - run * step
-        else:
-            n, a, b = n + 1, b, -a % b
-    return n
+    return sum(k for _, k in _hj_walk(w_l, w_r)[1])
+
+
+def _hj_walk(u, v):
+    """(w_(-1), runs) of the minimal chain from primitive u to v, det(u, v) >= 1.
+
+    From w_0 = u and w_(-1) at determinant one before it, the interior is
+    w_(i+1) = b_i w_i - w_(i-1) with b_i = ceil(r_(i-1) / r_i) for
+    r_i = det(w_i, v), until r_i = 1 (so r falls as the Hirzebruch-Jung
+    continued fraction of r_0 / r_1).  runs holds the b_i as (b, k), b taken
+    k times: where r_i < r_(i-1) < 2 r_i, b_i = 2 and r falls by the step
+    r_(i-1) - r_i while above it, a run taken at once, so O(log det) runs.
+    """
+    _, x, y = _ext_gcd(*u)
+    prev = (y, -x)  # det(prev, u) = 1
+    a, r, runs = det2(prev, v), det2(u, v), []
+    while r > 1:
+        b, k = (2, (r - 1) // (a - r)) if r < a < 2 * r else (-(-a // r), 1)
+        runs.append((b, k))
+        a, r = r - (k - 1) * (a - r), b * r - a - (k - 1) * (a - r)
+    return prev, runs
 
 
 def _ext_gcd(a, b):
@@ -328,7 +323,7 @@ class _Plan:
     result) pairs, newest last: a whole diagram and its splice halves can
     share one skeleton, and one slot would have them evict each other.
     linking is the skeleton's _Linking once linking_map has built it
-    (False where it never will).
+    (False where it never will); it serves only the top zeta's terms.
     """
 
     __slots__ = ("tree", "chains", "moved", "recent", "linking")
@@ -430,7 +425,7 @@ def realizable_refine(d):
 
 
 # ---------------------------------------------------------------------------
-# Refined strata, and linking maps: those strata affine in a skeleton's arrowheads.
+# Refined strata, and linking maps: top-zeta terms affine in a skeleton's arrowheads.
 # ---------------------------------------------------------------------------
 
 
@@ -454,8 +449,8 @@ def _strata(d):
 
 
 class _Linking:
-    """The strata of a plan's refinements of inputs without caches, as
-    integer-affine functions of the input arrowheads' (N, nu).
+    """The top-zeta terms of a plan's refinements of inputs without caches,
+    read off integer-affine functions of the input arrowheads' (N, nu).
 
     The refined tree has plain arrowheads, so unrolling the side-weight
     recurrence (see diagram.side_weights) gives the Eisenbud-Neumann form
@@ -466,15 +461,14 @@ class _Linking:
     l(., node of arrowhead a) over the refined nodes, and const the second
     sum minus every column, so that
     (N_v, nu_v) = (sum_a columns[a][v] N_a, sum_a columns[a][v] nu_a + const[v]).
-    The rest is the strata's fixed shape: valencies, and the edges' and
-    arrowheads' node indices.
+    The rest is the strata's fixed shape: each node's 2 - valency, and the
+    edges' and arrowheads' node indices.
     """
 
-    __slots__ = ("names", "columns", "const", "valencies", "edge_ends", "arrow_at", "kept")
+    __slots__ = ("columns", "const", "chis", "edge_ends", "arrow_at", "kept")
 
     def __init__(self, plan, d):
-        tree = plan.tree
-        names = self.names = tree.nodes
+        tree, names = plan.tree, plan.tree.nodes
         index = {v: i for i, v in enumerate(names)}
         p = [prod(e.dec_at(v) for e in tree.adj[v]) for v in names]
         steps = [[(index[e.other(v)], e.dec_at(v), e.dec_at(e.other(v)))
@@ -504,61 +498,47 @@ class _Linking:
         for col in self.columns:
             const = [c - x for c, x in zip(const, col)]
         self.const = const
-        at = [0] * len(names)
-        for i in self.arrow_at:
-            at[i] += 1
-        self.valencies = [len(near) + k for near, k in zip(steps, at)]
+        at = Counter(self.arrow_at)
+        self.chis = [2 - len(near) - at[i] for i, near in enumerate(steps)]
         self.edge_ends = [(index[e.u], index[e.v]) for e in tree.edges]
-        self.kept = {}  # see _read, oldest first
+        self.kept = {}  # see terms, oldest first
 
-    def _read(self, d, order):
-        """(pairs, N's, nu's, entry) of d, without caches, at this order, pairs the
-        (N, nu) of the nodes it keeps; None where a node or arrowhead has (0, 0)
-        (N = 0, which every order keeps), so that the replay raises.  kept maps
-        the latest _RECENT (order, N's) to their entry: per kept node (const,
-        column row, N, valency); (2 - valency, position) where valency != 2; the
-        kept edges and (node, arrowhead) pairs by position, an arrowhead's after
-        the nodes'; and the positions of the kept nodes and arrowheads with N = 0."""
+    def terms(self, d, order):
+        """zeta._top_terms(d, order), term for term; None where a node or
+        arrowhead it keeps has (N, nu) = (0, 0), so that the replay raises.
+        kept maps the latest _RECENT (order, N's) to their entry: per kept node
+        (const, column row, N); (2 - valency, position) where not 0; the kept
+        edges' and then (node, arrowhead) pairs' positions, an arrowhead's
+        after the nodes'; and where N = 0, the positions of the kept nodes
+        and of the arrowheads (which every order keeps)."""
         ns = tuple(map(_N, d.arrows))
         entry = self.kept.get((order, ns))
         if entry is None:
             by_node = list(zip(*self.columns)) or [()] * len(self.const)
-            at, rows = {}, []
+            at, rows, chis = {}, [], []
             for i, row in enumerate(by_node):
                 if (n := sum(map(mul, ns, row))) % order == 0:
+                    if self.chis[i]:
+                        chis.append((self.chis[i], len(rows)))
                     at[i] = len(rows)
-                    rows.append((self.const[i], row, n, self.valencies[i]))
-            entry = self.kept[order, ns] = (
-                rows, [(2 - row[3], k) for k, row in enumerate(rows) if row[3] != 2],
-                [(at[u], at[v]) for u, v in self.edge_ends if u in at and v in at],
-                [(at[i], len(rows) + j) for j, i in enumerate(self.arrow_at)
-                 if i in at and ns[j] % order == 0],
-                [k for k, row in enumerate(rows) if not row[2]],
-                [j for j, n in enumerate(ns) if not n])
+                    rows.append((self.const[i], row, n))
+            links = [(at[u], at[v]) for u, v in self.edge_ends if u in at and v in at]
+            links += [(at[i], len(rows) + j) for j, i in enumerate(self.arrow_at)
+                      if i in at and ns[j] % order == 0]
+            no_n = [k for k, row in enumerate(rows) if not row[2]]
+            entry = self.kept[order, ns] = (rows, chis, links, no_n,
+                                            [j for j, n in enumerate(ns) if not n])
             self.kept = dict(list(self.kept.items())[-_RECENT:])
+        rows, chis, links, no_n, no_n_arrows = entry
         nus = list(map(_NU, d.arrows))
-        pairs = [(n, c + sum(map(mul, nus, row))) for c, row, n, _ in entry[0]]
-        return None if 0 in nus and 0 in map(nus.__getitem__, entry[5]) or entry[4] and (
-            (0, 0) in map(pairs.__getitem__, entry[4])) else (pairs, ns, nus, entry)
-
-    def twisted(self, d, order):
-        """_strata(realizable_refine(d)) cut to the strata whose N's order divides, or None."""
-        if (read := self._read(d, order)) is None:
+        pairs = [(n, c + sum(map(mul, nus, row))) for c, row, n in rows]
+        if 0 in nus and 0 in map(nus.__getitem__, no_n_arrows) or no_n and (
+                (0, 0) in map(pairs.__getitem__, no_n)):
             return None
-        pairs, ns, nus, (rows, _, edges, arrows, _, _) = read
-        pairs = [(nu, n) for n, nu in pairs + list(zip(ns, nus))]
-        return ([(p, row[3]) for p, row in zip(pairs, rows)],
-                *([(pairs[u], pairs[v]) for u, v in links] for links in (edges, arrows)))
-
-    def terms(self, d, order):
-        """zeta._top_terms(d, order), term for term, off the strata twisted reads, or None."""
-        if (read := self._read(d, order)) is None:
-            return None
-        pairs, ns, nus, (_, chis, edges, arrows, _, _) = read
         terms = [(chi, (pairs[k],)) for chi, k in chis]
-        if edges or arrows:
+        if links:
             pairs += zip(ns, nus)
-            terms += [(1, (pairs[u], pairs[v])) for u, v in edges + arrows]
+            terms += [(1, (pairs[u], pairs[v])) for u, v in links]
         return terms
 
 
@@ -567,7 +547,7 @@ def linking_map(d):
     gets its map from the first input whose arrowheads no recent input had
     (the second point of a form-parameter sweep), if every arrowhead has
     decoration 1 (decorated ones take their values from caches) and validate
-    finds nothing wrong with that input."""
+    finds nothing wrong with that input.  Only zeta._top_terms reads it."""
     plan = _planned(d).plan
     if plan is not None and plan.linking is None and not plan.moved \
             and all(x.arrows != d.arrows for x, _ in plan.recent):
@@ -576,12 +556,7 @@ def linking_map(d):
 
 
 def refined_strata(d):
-    """_strata(realizable_refine(d)), kept on that refinement, or read off
-    linking_map(d) at order 1, which keeps every stratum; the replay raises
-    where the map finds a (0, 0) pair."""
-    linking = linking_map(d)
-    if linking and (strata := linking.twisted(d, 1)) is not None:
-        return strata
+    """_strata(realizable_refine(d)), kept on that refinement."""
     out = realizable_refine(d)
     if out._strata is None:
         out._strata = _strata(out)

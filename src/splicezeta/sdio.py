@@ -13,6 +13,7 @@ cannot be recomputed from the side weights, round-trip losslessly.
 from __future__ import annotations
 
 import random
+import sys
 from bisect import bisect_left, insort
 
 from .diagram import Arrowhead, Diagram, Edge, check_valid, validate
@@ -75,10 +76,17 @@ def parse_sd(text, validated=True):
 
 
 def _int(tok, lineno, col):
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(lineno, col, f"expected an integer, got {tok!r}") from None
+    """tok, an optional sign and ASCII digits (int() alone also reads 1_0 and
+    non-ASCII digits), as an int; one past int()'s digit limit is not echoed."""
+    if tok.isascii() and "_" not in tok:
+        try:
+            return int(tok)
+        except ValueError:
+            digits = tok[1:] if tok[:1] in "+-" else tok
+            if digits.isdigit():
+                raise ParseError(lineno, col, f"an integer of {len(digits)} digits, more "
+                                 f"than the {sys.get_int_max_str_digits()} allowed") from None
+    raise ParseError(lineno, col, f"expected an integer, got {tok!r}")
 
 
 def write_sd(d):

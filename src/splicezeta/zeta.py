@@ -16,7 +16,7 @@ from operator import mul
 
 from .algebra import Poly2, _div_linear, _partial_fraction_sum
 from .errors import DegenerateDenominator, ExpansionTooLarge, PoleAtOne
-from .refine import linking_map, realizable_refine, refined_strata
+from .refine import linking_map, refined_strata
 
 L_MINUS_1 = Poly2({(1, 0): 1, (0, 0): -1})
 L_MINUS_1_SQ = L_MINUS_1 * L_MINUS_1
@@ -255,7 +255,7 @@ def _add_term(acc, key, coeff):
 
 def _top_terms(diagram, order=None):
     """(chi, (N, nu) pairs) terms of the (possibly twisted) topological zeta,
-    of the strata whose N's order divides, off linking_map or refined_strata."""
+    of the strata whose N's order divides, off the linking map, else refined_strata."""
     if order is not None and order < 1:
         raise ValueError("order must be a positive integer")
     order, linking = order or 1, linking_map(diagram)
@@ -343,21 +343,3 @@ def specialize_chi_top(zeta, n):
 def poles(ratfunc):
     """Poles of a cancelled rational function as (value, multiplicity)."""
     return ratfunc.pole_list()
-
-
-def candidate_poles_motivic(diagram):
-    """(nu, N) pairs of the canonical realizable refinement with N >= 1.
-
-    This is a superset of the actual motivic poles; certified poles are
-    only provided at the topological level.
-    """
-    d = realizable_refine(diagram)
-    out = set()
-    for v in d.nodes:
-        n, nu = d.cache(v)
-        if n >= 1:
-            out.add((nu, n))
-    for a in d.arrows:
-        if a.N >= 1:
-            out.add((a.nu, a.N))
-    return out

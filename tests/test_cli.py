@@ -390,6 +390,30 @@ def test_refinement_over_the_budget_is_input_error(argv, tmp_path, capsys):
                    "more than the 100000 allowed\n")
 
 
+@pytest.mark.parametrize("edge, tok", [("edge a b 1_0 3", "1_0"),
+                                       ("edge a b 1 \u0663", "\u0663")])
+def test_integers_are_a_sign_and_ascii_digits(edge, tok, tmp_path, capsys):
+    # int() alone reads 1_0 as 10 and the Arabic-Indic digit three as 3
+    path = tmp_path / "edge.sd"
+    path.write_text(f"node a\nnode b\n{edge}\narrow a 1 1 1\narrow b 1 1 1\n",
+                    encoding="utf-8")
+    code, out, err = run_cli("refine", str(path), capsys=capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: line 3, column 1: expected an integer, got {tok!r}\n"
+
+
+def test_an_integer_too_long_to_read_is_named_by_its_length(tmp_path, capsys):
+    path = tmp_path / "long.sd"
+    path.write_text(f"node a\nnode b\nedge a b 1 {'1' * 4401}\narrow a 1 1 1\n"
+                    "arrow b 1 1 1\n")
+    code, out, err = run_cli("refine", str(path), capsys=capsys)
+    assert code == 2 and out == ""
+    assert len(err.encode()) < 200 and "Traceback" not in err
+    if hasattr(sys, "get_int_max_str_digits"):  # Python 3.10.7 and later
+        assert err == ("error: line 3, column 1: an integer of 4401 digits, more than "
+                       f"the {sys.get_int_max_str_digits()} allowed\n")
+
+
 @pytest.mark.parametrize("unbuffered", [True, False])
 @pytest.mark.parametrize("argv", [["refine", "-"], ["mult", "--machine", "-"]])
 def test_closed_stdout_is_output_error(argv, unbuffered):

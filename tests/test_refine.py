@@ -446,8 +446,8 @@ def _outcome(strata_of, d):
 
 
 def _or_none(outcome):
-    """What the map's twisted returns for an input with this replay outcome:
-    the strata, or None where the replay raises."""
+    """What the map's terms returns for an input with this replay outcome:
+    the terms, or None where the replay raises."""
     return outcome[1] if outcome[0] == "strata" else None
 
 
@@ -458,16 +458,6 @@ def _redrawn(d, rng):
         n, nu = rng.randrange(4), rng.randrange(-3, 6)
         arrows.append(Arrowhead(a.node, 1, n, nu if (n, nu) != (0, 0) else 1))
     return Diagram(d.nodes, d.edges, arrows)
-
-
-def test_linking_map_matches_the_replay_on_the_sweep_grid():
-    grid = [t for t in itertools.product(range(6), range(6), range(10), range(10))
-            if 0 not in t[:3]]
-    assert len(grid) == 2250
-    linking = _linking(builder_nv_example2(1, 1, 1, 1))
-    for t in grid:
-        d = builder_nv_example2(*t)
-        assert linking.twisted(d, 1) == _replayed(d), t
 
 
 def test_linking_map_matches_the_replay_on_examples_and_random_diagrams():
@@ -481,7 +471,7 @@ def test_linking_map_matches_the_replay_on_examples_and_random_diagrams():
         linking = _linking(d)
         for x in [d] + [_redrawn(d, rng) for _ in range(3)]:
             expected = _outcome(_replayed, x)
-            assert linking.twisted(x, 1) == _or_none(expected)
+            assert linking.terms(x, 1) == _or_none(_outcome(_filtered_terms(1), x))
             if expected[0] == "strata":
                 cached = ensure_cached(x)  # correct caches on every input node
                 assert refine.refined_strata(_mapped(cached)) == expected[1] == _replayed(cached)
@@ -510,27 +500,14 @@ def test_linking_map_raises_what_the_replay_raises():
         expected = _outcome(_replayed, bad)
         assert expected[:2] == ("raised", cls)
         if not bad.caches:
-            assert _linking(bad).twisted(bad, 1) is None
+            assert _linking(bad).terms(bad, 1) is None
         assert _outcome(refine.refined_strata, _mapped(bad)) == expected
         messages.add(expected[2])
     assert len(messages) == len(cases)
 
 
-@settings(derandomize=True, database=None, max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10 ** 6), m=st.sampled_from([6, 14, 30]), data=st.data())
-def test_linking_map_equals_the_replay_property(seed, m, data):
-    d = reduce(random_diagram(seed, m))
-    pair = st.tuples(st.integers(0, 5), st.integers(-4, 8)).filter(lambda p: p != (0, 0))
-    pairs = data.draw(st.lists(pair, min_size=len(d.arrows), max_size=len(d.arrows)))
-    redrawn = Diagram(d.nodes, d.edges,
-                      [Arrowhead(a.node, 1, n, nu) for a, (n, nu) in zip(d.arrows, pairs)])
-    linking = _linking(d)
-    for x in (d, redrawn):
-        assert linking.twisted(x, 1) == _or_none(_outcome(_replayed, x))
-
-
 # ---------------------------------------------------------------------------
-# Twisted strata: only the strata an order keeps, from the linking map.
+# Twisted terms: only the strata an order keeps, from the linking map.
 # ---------------------------------------------------------------------------
 
 SWEEP_GRID = [t for t in itertools.product(range(6), range(6), range(10), range(10))
@@ -561,17 +538,19 @@ def _filtered_terms(order):
 
 
 def test_twisted_strata_equal_the_filtered_strata_on_the_sweep_grid():
+    assert len(SWEEP_GRID) == 2250
     linking = _linking(builder_nv_example2(1, 1, 1, 1))
     kept = set()
     for t in SWEEP_GRID:
         d = builder_nv_example2(*t)
-        full = _replayed(d)
         for order in TWIST_ORDERS:
-            twisted = linking.twisted(d, order)
-            assert twisted == _divisible(full, order), (t, order)
-            kept.add((order, sum(map(len, twisted))))
-    # order 1 keeps every stratum; 60 and 330 keep one term's worth
-    assert {n for order, n in kept if order == 1} == {sum(map(len, full))}
+            terms = linking.terms(d, order)
+            assert terms == _filtered_terms(order)(d), (t, order)
+            kept.add((order, len(terms)))
+    # order 1 keeps every stratum but the valency-two nodes; 330 keeps one term
+    nodes, edges, arrows = _replayed(d)
+    full = sum(delta != 2 for _, delta in nodes) + len(edges) + len(arrows)
+    assert {n for order, n in kept if order == 1} == {full}
     assert {n for order, n in kept if order == 330} == {1}
 
 
@@ -587,7 +566,8 @@ def test_twisted_strata_equal_the_filtered_replay_property(seed, m, no_n, order,
                       [Arrowhead(a.node, 1, n, nu) for a, (n, nu) in zip(d.arrows, pairs)])
     linking = _linking(d)
     for x in (d, redrawn):
-        assert linking.twisted(x, order) == _or_none(_outcome(_filtered_replay(order), x))
+        for k in {1, order}:
+            assert linking.terms(x, k) == _or_none(_outcome(_filtered_terms(k), x))
 
 
 def test_top_terms_from_the_map_equal_the_filtered_replay_terms(monkeypatch):
@@ -659,7 +639,6 @@ def test_twisted_strata_raise_what_the_filtered_replay_raises():
         for order in (1, 7, 60, 330):
             expected = _outcome(_filtered_replay(order), bad)
             assert expected[:2] == ("raised", DegenerateDenominator)
-            assert linking.twisted(bad, order) is None
             assert linking.terms(bad, order) is None
             assert _outcome(lambda y: _top_terms(y, order), bad) == expected
             messages.add(expected[2])
@@ -671,7 +650,7 @@ def test_cached_inputs_take_the_full_strata_with_their_checks():
     first, second = builder_nv_example2(1, 2, 3, 4), builder_nv_example2(2, 3, 4, 5)
     for d in (first, second):
         twisted_top_zeta(d, 330)
-    assert second.skeleton.plan.linking
+    assert refine._planned(second).plan.linking
     for d in (second.with_caches({"n5": (66, 5)}), ensure_cached(second)):
         assert _outcome(refine.refined_strata, d) == _outcome(_replayed, d)
         for order in (None, 1, 60, 330):
@@ -685,10 +664,10 @@ def test_twisted_selection_memo_is_bounded():
     d = builder_nv_example2(1, 2, 3, 4)
     linking = _linking(d)
     for order in range(1, 10):
-        linking.twisted(d, order)
+        linking.terms(d, order)
     ns = tuple(a.N for a in d.arrows)
     assert list(linking.kept) == [(order, ns) for order in range(10 - refine._RECENT, 10)]
-    linking.twisted(builder_nv_example2(5, 4, 3, 2), 9)  # the same N, a hit
+    linking.terms(builder_nv_example2(5, 4, 3, 2), 9)  # the same N, a hit
     assert len(linking.kept) == refine._RECENT
 
 
@@ -706,7 +685,7 @@ def test_sweep_twisted_zetas_never_evaluate_the_full_strata(monkeypatch):
         for order in (330, 60):
             poles(twisted_top_zeta(d, order))
     # the first tuple is replayed; the second builds the map, which serves the rest
-    assert d.skeleton.plan.linking
+    assert refine._planned(d).plan.linking
     assert replays == [realizable_refine(builder_nv_example2(*SWEEP_GRID[0]))]
     top_zeta(d)  # the plain zeta reads the map through order 1
     assert len(replays) == 1
@@ -718,7 +697,7 @@ def test_mapped_inputs_render_as_their_replay():
     for t in SWEEP_GRID[:201]:
         d = builder_nv_example2(*t)
         twisted_top_zeta(d, 330)  # the second tuple builds the map
-        if not d.skeleton.plan.linking:
+        if not refine._planned(d).plan.linking:
             continue
         cached = ensure_cached(d)  # takes the replay
         for fn in (top_zeta, motivic_zeta, lambda x: twisted_top_zeta(x, 60)):
@@ -757,7 +736,7 @@ def test_one_input_builds_no_linking_map(maps_built):
     twisted_top_zeta(builder_nv_example2(2, 3, 4, 5), 60)
     top_zeta(ensure_cached(d))
     assert not maps_built
-    assert d.skeleton.plan.linking is None
+    assert refine._planned(d).plan.linking is None
 
 
 def test_the_second_standard_input_builds_one_linking_map(maps_built):
@@ -783,7 +762,7 @@ def test_decorated_or_invalid_skeletons_build_no_linking_map(maps_built):
     assert validate(invalid[1]) and not validate(invalid[2])
     for d in halves + invalid:
         for _ in range(2):
-            assert refine.refined_strata(d) == _replayed(d)
+            assert _top_terms(d) == _filtered_terms(1)(d)
     assert not maps_built
 
 

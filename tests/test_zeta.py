@@ -25,7 +25,6 @@ from splicezeta.zeta import (
     L_MINUS_1,
     ZetaExpr,
     _top_terms,
-    candidate_poles_motivic,
     motivic_zeta,
     poles,
     specialize_chi_top,
@@ -456,22 +455,6 @@ def test_zeta_expr_render():
 def test_monomial_pole_multiplicity():
     z = top_zeta(builder_monomial(1, 1, 1, 1))
     assert poles(z) == [(Fraction(-1), 2)]
-
-
-def test_candidate_poles_cusp():
-    got = candidate_poles_motivic(builder_cusp(0, 0))
-    assert got == {(2, 2), (3, 3), (5, 6), (1, 1)}
-
-
-def test_candidate_poles_monomial():
-    got = candidate_poles_motivic(builder_monomial(2, 3, 1, 1))
-    assert got == {(1, 2), (1, 3), (2, 5)}
-
-
-def test_candidate_poles_nv2():
-    got = candidate_poles_motivic(builder_nv_example2(1, 1, 1, 1))
-    assert {(3, 20), (2, 15), (7, 60), (41, 330), (9, 66), (1, 1)} <= got
-    assert (8, 65) in got  # inserted chain node on the determinant-6 edge
 
 
 def _divided_all_at_once(coeffs):
